@@ -49,7 +49,9 @@ class IndexedGraph:
     repeated lookups share one snapshot per graph version.  ``indptr``,
     ``indices``, ``latencies`` and ``slot_edge_id`` are ``int64`` numpy
     arrays; scalar reads (``indptr[i]``) behave like the historical Python
-    lists, so per-node call sites need no shim.
+    lists, so per-node call sites need no shim.  On both build paths (the
+    dict walk below and :meth:`from_csr`) ``slot_edge_id`` is built lazily
+    on first access, by one argsort pairing the two slots of every edge.
     """
 
     __slots__ = (
@@ -67,29 +69,26 @@ class IndexedGraph:
     def __init__(self, graph: "WeightedGraph") -> None:
         labels: list["NodeId"] = graph.nodes()
         index: dict["NodeId", int] = {label: i for i, label in enumerate(labels)}
-        indptr: list[int] = [0]
         indices: list[int] = []
         latencies: list[int] = []
-        slot_edge_id: list[int] = []
-        edge_ids: dict[tuple[int, int], int] = {}
         neighbor_labels: list[tuple["NodeId", ...]] = []
-        for i, label in enumerate(labels):
+        lookup = index.__getitem__
+        for label in labels:
             nbr_latencies = graph.neighbor_latencies(label)
-            neighbor_labels.append(tuple(nbr_latencies))
-            for nbr, latency in nbr_latencies.items():
-                j = index[nbr]
-                key = (i, j) if i < j else (j, i)
-                edge_id = edge_ids.setdefault(key, len(edge_ids))
-                indices.append(j)
-                latencies.append(latency)
-                slot_edge_id.append(edge_id)
-            indptr.append(len(indices))
+            neighbors = tuple(nbr_latencies)
+            neighbor_labels.append(neighbors)
+            indices.extend(map(lookup, neighbors))
+            latencies.extend(nbr_latencies.values())
         self.labels = labels
-        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.indptr = np.zeros(len(labels) + 1, dtype=np.int64)
+        degrees = np.fromiter(map(len, neighbor_labels), dtype=np.int64, count=len(labels))
+        np.cumsum(degrees, out=self.indptr[1:])
         self.indices = np.asarray(indices, dtype=np.int64)
         self.latencies = np.asarray(latencies, dtype=np.int64)
-        self._slot_edge_id: Optional["np.ndarray"] = np.asarray(slot_edge_id, dtype=np.int64)
-        self.num_edges = len(edge_ids)
+        # A WeightedGraph is symmetric and loop-free, so every edge owns
+        # exactly two slots.
+        self._slot_edge_id: Optional["np.ndarray"] = None
+        self.num_edges = len(indices) // 2
         self._index: Optional[dict["NodeId", int]] = index
         self._neighbor_labels: Optional[list[tuple["NodeId", ...]]] = neighbor_labels
         self._slot_lookup: Optional[list[dict[int, int]]] = None
@@ -104,16 +103,16 @@ class IndexedGraph:
     ) -> "IndexedGraph":
         """Wrap prebuilt CSR arrays without round-tripping through dicts.
 
-        ``slot_edge_id`` is reconstructed (lazily, on first access) so
-        undirected edge ids follow the same first-appearance order the
-        dict-based constructor produces (``setdefault`` over slots in CSR
-        order), keeping edge-activation accounting identical between the
-        two build paths.  The label->index dict and the per-node
-        neighbour-label tuples are likewise lazy — a million-node run that
-        never queries by label never pays for them.  The arrays must
-        describe a symmetric adjacency without self-loops, so every
-        undirected edge occupies exactly two slots (``num_edges`` is
-        ``len(indices) // 2``); the lazy edge-id build verifies this.
+        ``slot_edge_id`` is built lazily, on first access, exactly as for a
+        dict-built snapshot, so undirected edge ids follow the same
+        first-appearance order over slots in CSR order and edge-activation
+        accounting is identical between the two build paths.  The
+        label->index dict and the per-node neighbour-label tuples are
+        likewise lazy — a million-node run that never queries by label
+        never pays for them.  The arrays must describe a symmetric
+        adjacency without self-loops, so every undirected edge occupies
+        exactly two slots (``num_edges`` is ``len(indices) // 2``); the lazy
+        edge-id build verifies this.
         """
         self = object.__new__(cls)
         self.labels = list(labels)
@@ -162,18 +161,28 @@ class IndexedGraph:
         np.cumsum(counts, out=indptr[1:])
         return indptr, self.indices[keep]
 
+    def slot_pair_keys(self) -> "np.ndarray":
+        """Per-slot canonical undirected key ``(min(i, j) << 32) | max(i, j)``.
+
+        Both slots of an edge share the key, and because node indices are
+        stable across a graph's re-snapshots (the node universe only grows)
+        the key names the same edge in every snapshot that contains it.
+        """
+        src = self.slot_sources()
+        return (np.minimum(src, self.indices) << 32) | np.maximum(src, self.indices)
+
     @property
     def slot_edge_id(self) -> "np.ndarray":
         """Per-slot undirected edge id, in first-appearance (CSR) order.
 
-        Built lazily for CSR-direct snapshots: pairing the two slots of
-        each undirected edge with one stable argsort over canonical keys is
-        much cheaper than a full ``np.unique``, and runs that never track
-        edge activations skip it entirely.
+        Built lazily on both build paths: pairing the two slots of each
+        undirected edge with one stable argsort over canonical keys is much
+        cheaper than a full ``np.unique`` (or a per-slot dict), and runs
+        that never track edge activations skip it entirely.  Edge ``e`` is
+        the ``e``-th distinct edge met scanning slots in CSR order.
         """
         if self._slot_edge_id is None:
-            src = self.slot_sources()
-            keys = (np.minimum(src, self.indices) << 32) | np.maximum(src, self.indices)
+            keys = self.slot_pair_keys()
             order = np.argsort(keys, kind="stable")
             first = order[0::2]
             second = order[1::2]

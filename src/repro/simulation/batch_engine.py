@@ -51,7 +51,15 @@ from typing import Any, Optional
 import numpy as np
 
 from ..graphs.weighted_graph import GraphError, NodeId, WeightedGraph
-from .dynamics import FaultState, TopologyDynamics, apply_events
+from .dynamics import (
+    ActivationLedger,
+    FaultMirror,
+    TopologyDynamics,
+    apply_events,
+    drop_pending,
+    sorted_contains,
+)
+from .edge_engine import DEFAULT_MEMORY_LIMIT, check_footprint
 from .messages import Rumor
 from .metrics import SimulationMetrics
 from .protocol import BatchPolicySpec, register_engine
@@ -59,27 +67,10 @@ from .rng import uniform_slot_offsets
 
 __all__ = ["BatchEngine"]
 
-class _BatchFaultState(FaultState):
-    """A :class:`FaultState` that mirrors new faults into batch-engine masks."""
 
-    __slots__ = ("_engine",)
-
-    def __init__(self, engine: "BatchEngine") -> None:
-        super().__init__()
-        self._engine = engine
-
-    def crash(self, node: NodeId) -> None:
-        """Crash-stop ``node`` across every replication column (idempotent)."""
-        if node not in self.crashed:
-            self.crashed.add(node)
-            self._engine._on_crash(node)
-
-    def drop_edge(self, u: NodeId, v: NodeId) -> None:
-        """Fault the edge ``{u, v}`` across every replication column."""
-        key = frozenset((u, v))
-        if key not in self.dropped:
-            self.dropped.add(key)
-            self._engine._on_edge_fault(u, v)
+def _activation_buffer_size(n: int, reps: int) -> int:
+    """Ring-buffer capacity: about 24 rounds of (node, rep) activations, within [2^16, 2^23]."""
+    return min(8_388_608, max(65_536, 24 * n * reps))
 
 
 @register_engine("batch")
@@ -101,6 +92,12 @@ class BatchEngine:
         Optional :class:`~repro.simulation.dynamics.TopologyDynamics`
         applied at the start of every round — one shared schedule for all
         replications, matching the scenario-seed derivation discipline.
+
+    Like the edge backend, the engine estimates its array footprint before
+    allocating and raises :class:`~repro.simulation.protocol.SimulationError`
+    with the estimate when it exceeds the edge backend's
+    ``DEFAULT_MEMORY_LIMIT`` — at construction and whenever seeding a rumor
+    adds a knowledge word.
     """
 
     def __init__(
@@ -123,8 +120,9 @@ class BatchEngine:
         self._graph_version = graph.version
         self._load_csr()
         n = self._idx.num_nodes
-        # Knowledge bitplanes and per-(node, replication) state.
         self._words = 1
+        self._check_memory(words=1, action="constructing the engine")
+        # Knowledge bitplanes and per-(node, replication) state.
         self._know = np.zeros((n, reps, 1), dtype=np.uint64)
         # Per-(replication, node) state is laid out replication-major so
         # per-round broadcasts and the per-replication draw rows stay
@@ -158,11 +156,12 @@ class BatchEngine:
         # (edge, rep) count matrix by one bincount per buffer-full (a
         # scatter-add every round would touch the whole matrix every round).
         self._edge_counts = np.zeros((self._idx.num_edges, reps), dtype=np.int64)
-        buffer_size = min(8_388_608, max(65_536, 24 * n * reps))
+        buffer_size = _activation_buffer_size(n, reps)
         self._act_slots = np.empty(buffer_size, dtype=np.int32)
         self._act_reps = np.empty(buffer_size, dtype=np.int32)
         self._act_fill = 0
-        self._folded_activations: list[Counter] = [Counter() for _ in range(reps)]
+        # Counts of edges retired by topology resyncs, keyed by index pair.
+        self._ledger = ActivationLedger(reps)
         # Completion bookkeeping.
         self._active = np.ones(reps, dtype=bool)
         self._completion_round = np.full(reps, -1, dtype=np.int64)
@@ -178,11 +177,9 @@ class BatchEngine:
         # booleans shrinks the in-flight pipeline's memory traffic 8x.
         self._bool_payloads = False
         # Fault state: label-based sets (shared applier) + index mirrors.
-        self._fault_state: FaultState = _BatchFaultState(self)
+        self._fault_state = FaultMirror(self)
         self._crashed_mask = np.zeros(n, dtype=bool)
-        self._dropped_keys: set[int] = set()
-        self._dropped_keys_arr: Optional[np.ndarray] = None
-        self._deferred_faults: list[tuple] = []
+        self._dropped_keys = np.empty(0, dtype=np.int64)  # sorted directed pair keys
         # Reused per-round work buffers (allocation is expensive relative
         # to arithmetic on small-bandwidth hosts).
         self._acting_buffer = np.empty((reps, n), dtype=bool)
@@ -225,6 +222,38 @@ class BatchEngine:
         else:  # pragma: no cover - latencies this large do not occur in the suite
             self._latencies_sortkey = self._latencies
 
+    def _estimate_bytes(self, words: int) -> dict[str, int]:
+        """Estimate the engine's array footprint at ``words`` knowledge words.
+
+        Five terms: the ``(n, reps, words)`` knowledge plane, the
+        ``(E, reps)`` edge-count matrix, the two int32 activation ring
+        buffers, the ``(reps, n)`` acting and draw buffers, and the
+        worst-case in-flight pipeline — every (node, replication) keeps one
+        exchange per round alive for up to the maximum edge latency, each
+        carrying three index columns and two payload snapshots.
+        """
+        n, reps = self._idx.num_nodes, self.reps
+        max_latency = int(self._latencies.max()) if self._latencies.size else 1
+        estimate = {
+            "knowledge": n * reps * words * 8,
+            "edge-counts": self._idx.num_edges * reps * 8,
+            "activation-buffers": _activation_buffer_size(n, reps) * 8,
+            "round-buffers": reps * n * 9,
+            "pipeline": n * reps * max(1, max_latency) * (24 + 16 * words),
+        }
+        estimate["total"] = sum(estimate.values())
+        return estimate
+
+    def _check_memory(self, words: int, action: str) -> None:
+        """Raise :class:`SimulationError` when the estimate exceeds the limit."""
+        check_footprint(
+            self._estimate_bytes(words),
+            DEFAULT_MEMORY_LIMIT,
+            f"batch backend refuses {action}",
+            f"n={self._idx.num_nodes}, reps={self.reps}, {words * 64} rumor bits",
+            "lower n or reps, or seed fewer rumors (all-to-all needs n^2*reps/8 bytes)",
+        )
+
     @property
     def num_nodes(self) -> int:
         """Current number of nodes in the simulated snapshot."""
@@ -242,14 +271,16 @@ class BatchEngine:
         bit = self._rumor_bit.get(rumor)
         if bit is None:
             bit = len(self._rumors)
+            if bit >= self._words * 64:
+                grown = self._words + 1
+                self._check_memory(words=grown, action=f"growing to {grown * 64} rumor bits")
+                pad = np.zeros(self._know.shape[:2] + (1,), dtype=np.uint64)
+                self._know = np.concatenate([self._know, pad], axis=2)
+                self._words = grown
             self._rumor_bit[rumor] = bit
             self._rumors.append(rumor)
             self._bit_origin.append(origin_index)
             self._seeded_origins.add(origin_index)
-            if bit >= self._words * 64:
-                pad = np.zeros(self._know.shape[:2] + (1,), dtype=np.uint64)
-                self._know = np.concatenate([self._know, pad], axis=2)
-                self._words += 1
         word, offset = divmod(bit, 64)
         self._know[origin_index, :, word] |= np.uint64(1 << offset)
         self._popcounts = None
@@ -402,41 +433,14 @@ class BatchEngine:
     # ------------------------------------------------------------------
     # Fault events (node-crash / edge-fault, via the shared applier)
     # ------------------------------------------------------------------
-    def _on_crash(self, label: NodeId) -> None:
+    def _on_crash(self, i: int) -> None:
         """Mask a newly crashed node out of every replication column."""
-        i = self._idx.index.get(label)
-        if i is None:
-            self._deferred_faults.append(("crash", label))
-            return
         self._crashed_mask[i] = True
         self._mask_epoch += 1
 
-    def _on_edge_fault(self, u: NodeId, v: NodeId) -> None:
+    def _on_edge_fault(self, i: int, j: int) -> None:
         """Register a faulted edge as a pair of directed suppression keys."""
-        iu, iv = self._idx.index.get(u), self._idx.index.get(v)
-        if iu is None or iv is None:
-            self._deferred_faults.append(("edge", u, v))
-            return
-        self._dropped_keys.add((iu << 32) | iv)
-        self._dropped_keys.add((iv << 32) | iu)
-        self._dropped_keys_arr = None
-
-    def _apply_deferred_faults(self) -> None:
-        """Replay fault bookkeeping parked for a mid-round CSR re-snapshot."""
-        deferred, self._deferred_faults = self._deferred_faults, []
-        for entry in deferred:
-            if entry[0] == "crash":
-                if self._idx.index.get(entry[1]) is None:
-                    raise GraphError(
-                        f"node-crash event names {entry[1]!r}, which is not in the simulated graph"
-                    )
-                self._on_crash(entry[1])
-            else:
-                self._on_edge_fault(entry[1], entry[2])
-        if self._deferred_faults:  # still unresolved after a resync: a real bug
-            raise GraphError(
-                f"fault events reference nodes unknown to the engine: {self._deferred_faults!r}"
-            )
+        self._dropped_keys = np.union1d(self._dropped_keys, [(i << 32) | j, (j << 32) | i])
 
     # ------------------------------------------------------------------
     # Topology changes (dynamics events and direct graph mutation)
@@ -452,8 +456,7 @@ class BatchEngine:
                 severed = apply_events(self.graph, events, self._fault_state)
         if self.graph.version != self._graph_version:
             self._resync_topology(severed, events_only)
-        if self._deferred_faults:
-            self._apply_deferred_faults()
+        self._fault_state.replay()
 
     def _resync_topology(self, severed: set, events_only: bool) -> None:
         """Re-snapshot the CSR core after the shared graph mutated.
@@ -520,38 +523,18 @@ class BatchEngine:
 
     def _drop_pending_over(self, removed: set[tuple[int, int]]) -> None:
         """Drop in-flight exchanges travelling over removed directed pairs."""
-        removed_keys = np.fromiter(
-            ((i << 32) | j for i, j in removed), dtype=np.int64, count=len(removed)
-        )
-        for completes_at, batches in list(self._due.items()):
-            kept: list[tuple] = []
-            changed = False
-            for entry in batches:
-                initiators, responders, rep_ids = entry[0], entry[1], entry[2]
-                if self._lin_entries:  # pragma: no cover - static runs never resync
-                    initiators = initiators // self.reps
-                    responders = responders // self.reps
-                keys = (initiators << 32) | responders
-                drop = np.isin(keys, removed_keys)
-                if not drop.any():
-                    kept.append(entry)
-                    continue
-                changed = True
-                if self._outstanding is not None:
-                    np.subtract.at(self._outstanding, (rep_ids[drop], initiators[drop]), 1)
-                # Completed replications' leftover exchanges are already
-                # drained in spirit — only live replications pay for losses.
-                lost = drop & self._active[rep_ids]
-                if lost.any():
-                    self._lost += np.bincount(rep_ids[lost], minlength=self.reps)
-                keep = ~drop
-                if keep.any():
-                    kept.append(tuple(part[keep] for part in entry))
-            if changed:
-                if kept:
-                    self._due[completes_at] = kept
-                else:
-                    del self._due[completes_at]
+        stride = self.reps if self._lin_entries else 1
+        dropped = drop_pending(self._due, removed, self._idx.num_nodes, stride)
+        if dropped is None:
+            return
+        initiators, rep_ids = dropped[0], dropped[2]
+        if self._outstanding is not None:  # blocking runs never use flattened columns
+            np.subtract.at(self._outstanding, (rep_ids, initiators), 1)
+        # Completed replications' leftover exchanges are already drained in
+        # spirit — only live replications pay for losses.
+        lost = rep_ids[self._active[rep_ids]]
+        if lost.size:
+            self._lost += np.bincount(lost, minlength=self.reps)
 
     # ------------------------------------------------------------------
     # Edge-activation accounting
@@ -586,38 +569,19 @@ class BatchEngine:
         self._edge_counts += counts.reshape(self._edge_counts.shape)
         self._act_fill = 0
 
-    def _edge_keys(self, idx) -> list[tuple[str, str]]:
-        """Canonical (repr-sorted) label pair per edge id of a CSR snapshot."""
-        keys: list[Optional[tuple[str, str]]] = [None] * idx.num_edges
-        reprs = [repr(label) for label in idx.labels]
-        indptr, indices, slot_edge_id = (
-            idx.indptr.tolist(),
-            idx.indices.tolist(),
-            idx.slot_edge_id.tolist(),
-        )
-        for i in range(idx.num_nodes):
-            for slot in range(indptr[i], indptr[i + 1]):
-                j = indices[slot]
-                if i < j:
-                    first, second = reprs[i], reprs[j]
-                    if second < first:
-                        first, second = second, first
-                    keys[slot_edge_id[slot]] = (first, second)
-        return keys  # type: ignore[return-value]
+    @staticmethod
+    def _edge_pair_keys(idx) -> np.ndarray:
+        """The index-pair key of every edge id of a CSR snapshot."""
+        keys = np.empty(idx.num_edges, dtype=np.int64)
+        keys[idx.slot_edge_id] = idx.slot_pair_keys()
+        return keys
 
     def _fold_activations(self, idx) -> None:
-        """Fold a retiring snapshot's per-edge counts into per-rep counters."""
+        """Move a retiring snapshot's nonzero edge-count rows into the ledger."""
         self._flush_activations()
-        if not self._edge_counts.any():
-            return
-        keys = self._edge_keys(idx)
-        for rep in range(self.reps):
-            column = self._edge_counts[:, rep]
-            nonzero = np.nonzero(column)[0]
-            if nonzero.size:
-                counter = self._folded_activations[rep]
-                for edge_id in nonzero:
-                    counter[keys[edge_id]] += int(column[edge_id])
+        rows = np.flatnonzero(self._edge_counts.any(axis=1))
+        if rows.size:
+            self._ledger.fold(self._edge_pair_keys(idx)[rows], self._edge_counts[rows])
 
     # ------------------------------------------------------------------
     # Core stepping
@@ -660,15 +624,10 @@ class BatchEngine:
                 rep_ids = rep_ids[alive]
                 payload_i = payload_i[alive]
                 payload_j = payload_j[alive]
-        if self._crashed_mask.any() or self._dropped_keys:
+        if self._crashed_mask.any() or self._dropped_keys.size:
             suppressed = self._crashed_mask[initiators] | self._crashed_mask[responders]
-            if self._dropped_keys:
-                if self._dropped_keys_arr is None:
-                    self._dropped_keys_arr = np.fromiter(
-                        self._dropped_keys, dtype=np.int64, count=len(self._dropped_keys)
-                    )
-                keys = (initiators << 32) | responders
-                suppressed |= np.isin(keys, self._dropped_keys_arr)
+            if self._dropped_keys.size:
+                suppressed |= sorted_contains(self._dropped_keys, (initiators << 32) | responders)
             if suppressed.any():
                 self._suppressed += np.bincount(rep_ids[suppressed], minlength=self.reps)
                 delivered = ~suppressed
@@ -985,8 +944,10 @@ class BatchEngine:
             if self._curve_rumor is not None:
                 self._curve.append(self.informed_counts(self._curve_rumor))
         self._flush_activations()
-        keys = self._edge_keys(self._idx)
-        return [self._materialize_metrics(rep, keys) for rep in range(self.reps)]
+        counters = self._ledger.counters(
+            self._idx.labels, self._edge_pair_keys(self._idx), self._edge_counts
+        )
+        return [self._materialize_metrics(rep, counters[rep]) for rep in range(self.reps)]
 
     def _finish(self, mask: np.ndarray) -> None:
         """Freeze replications whose stop predicate turned true this round."""
@@ -1012,11 +973,11 @@ class BatchEngine:
         points = self._curve if end < 0 else self._curve[: end + 1]
         return [int(counts[rep]) for counts in points]
 
-    def _materialize_metrics(self, rep: int, keys: list[tuple[str, str]]) -> SimulationMetrics:
+    def _materialize_metrics(self, rep: int, edge_activations: Counter) -> SimulationMetrics:
         """Build the reference-format metrics object of one replication.
 
-        ``keys`` is the shared canonical label pair per edge id of the
-        final CSR snapshot (computed once in :meth:`run_batch`).
+        ``edge_activations`` is the replication's label-keyed counter, built
+        for every replication at once in :meth:`run_batch`.
         """
         metrics = SimulationMetrics()
         completion = int(self._completion_round[rep])
@@ -1030,12 +991,7 @@ class BatchEngine:
         metrics.max_payload_size = int(self._max_payload[rep])
         metrics.lost_exchanges = int(self._lost[rep])
         metrics.suppressed_exchanges = int(self._suppressed[rep])
-        # Zero-count entries are kept: Counter equality (3.10+) treats them
-        # as absent, and building the dict without a filter stays C-speed.
-        data = dict(zip(keys, self._edge_counts[:, rep].tolist()))
-        folded = self._folded_activations[rep]
-        if folded:
-            for key, count in folded.items():
-                data[key] = data.get(key, 0) + count
-        metrics.edge_activations = Counter(data)
+        # The final snapshot's zero-count edges are kept: Counter equality
+        # (3.10+) treats them as absent.
+        metrics.edge_activations = edge_activations
         return metrics

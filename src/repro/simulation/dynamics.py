@@ -6,9 +6,11 @@ round, a sequence of :class:`TopologyEvent` mutations — edge additions and
 removals, latency drift, and node churn — that the simulation engines apply
 to the live graph.  Deterministic *generators* of such schedules (Markov
 churn, periodic latency oscillation, adversarial slow-bridge flapping) live
-in :mod:`repro.graphs.dynamics`; this module owns only the event vocabulary,
+in :mod:`repro.graphs.dynamics`; this module owns the event vocabulary,
 the schedule containers, and the single shared applier, so that the
-reference and fast backends interpret a schedule identically.
+reference and fast backends interpret a schedule identically, plus the
+pieces the CSR backends share to follow a schedule: the fault mirror, the
+activation ledger and the in-flight drop.
 
 Semantics contract (honoured bit-for-bit by both engines)
 ---------------------------------------------------------
@@ -55,9 +57,14 @@ afterwards.
 
 from __future__ import annotations
 
+import weakref
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
+from itertools import compress
+from typing import TYPE_CHECKING, Any, Optional, Protocol, runtime_checkable
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from ..graphs.weighted_graph import NodeId, WeightedGraph
@@ -65,7 +72,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 __all__ = [
     "EVENT_KINDS",
     "FAULT_EVENT_KINDS",
+    "ActivationLedger",
+    "FaultMirror",
     "FaultState",
+    "drop_pending",
+    "sorted_contains",
     "TopologyEvent",
     "TopologyDynamics",
     "ScheduleDynamics",
@@ -140,9 +151,9 @@ class FaultState:
     faults are permanent for the rest of the run, matching the legacy
     crash-stop :class:`~repro.simulation.faults.FaultPlan` model.
 
-    The reference engine uses the label-based sets directly; the fast
-    backend subclasses :meth:`crash` / :meth:`drop_edge` to mirror the
-    state into index-based structures.
+    The reference engine uses the label-based sets directly; the CSR
+    backends hold a :class:`FaultMirror`, which also forwards each new
+    fault into their index-based structures.
     """
 
     __slots__ = ("crashed", "dropped")
@@ -174,6 +185,189 @@ class FaultState:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FaultState(crashed={len(self.crashed)}, dropped={len(self.dropped)})"
+
+
+class FaultMirror(FaultState):
+    """A :class:`FaultState` that forwards each new fault to its engine.
+
+    The label-based sets stay authoritative (the shared applier and parity
+    checks read them); a fault seen for the first time is also translated
+    to node indices of the engine's CSR snapshot (``engine._idx``) and
+    passed to ``engine._on_crash(i)`` / ``engine._on_edge_fault(i, j)``, so
+    the engine keeps its index-based masks current.  A fault naming a node
+    that joined earlier in the same round is not indexed yet; it is parked
+    until :meth:`replay`, which engines call after every topology resync.
+
+    The engine is held through a weak proxy: the engine owns the mirror,
+    and a strong back-reference would form a cycle that only the cyclic
+    garbage collector could free, keeping a finished engine's in-flight
+    pipeline alive until it ran.
+    """
+
+    __slots__ = ("_engine", "_parked")
+
+    def __init__(self, engine: Any) -> None:
+        super().__init__()
+        self._engine = weakref.proxy(engine)
+        self._parked: list[tuple] = []
+
+    def crash(self, node: NodeId) -> None:
+        """Crash-stop ``node``, notifying the engine once."""
+        if node not in self.crashed:
+            self.crashed.add(node)
+            self._forward((node,))
+
+    def drop_edge(self, u: NodeId, v: NodeId) -> None:
+        """Fault the edge ``{u, v}``, notifying the engine once."""
+        key = frozenset((u, v))
+        if key not in self.dropped:
+            self.dropped.add(key)
+            self._forward((u, v))
+
+    def _forward(self, nodes: tuple) -> None:
+        """Notify the engine of a crash (one node) or edge fault (two nodes)."""
+        index = self._engine._idx.index
+        if not all(node in index for node in nodes):
+            self._parked.append(nodes)
+        elif len(nodes) == 1:
+            self._engine._on_crash(index[nodes[0]])
+        else:
+            self._engine._on_edge_fault(index[nodes[0]], index[nodes[1]])
+
+    def replay(self) -> None:
+        """Forward the faults parked for the engine's post-event resync."""
+        if not self._parked:
+            return
+        parked, self._parked = self._parked, []
+        for nodes in parked:
+            self._forward(nodes)
+        if self._parked:  # still unresolved after a resync: a real bug
+            from ..graphs.weighted_graph import GraphError
+
+            raise GraphError(
+                f"fault events reference nodes unknown to the engine: {self._parked!r}"
+            )
+
+
+def sorted_contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Elementwise ``keys in sorted_keys`` for a sorted, nonempty key array."""
+    found = np.searchsorted(sorted_keys, keys)
+    return sorted_keys[np.minimum(found, sorted_keys.size - 1)] == keys
+
+
+_LOW_32 = np.int64(0xFFFFFFFF)
+
+
+class ActivationLedger:
+    """Per-edge activation counts carried across CSR re-snapshots.
+
+    A snapshot's slots and edge ids die at the next topology resync, but
+    node indices are stable (the node universe only grows), so a retired
+    edge is keyed by its int64 index pair ``(min << 32) | max``.  ``keys``
+    is sorted and unique; ``counts`` holds one row per key and one column
+    per replication.  Labels enter only once, in :meth:`counters`.
+    """
+
+    __slots__ = ("keys", "counts")
+
+    def __init__(self, columns: int) -> None:
+        self.keys = np.empty(0, dtype=np.int64)
+        self.counts = np.zeros((0, columns), dtype=np.int64)
+
+    def _merged(self, keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ledger's rows with ``counts`` added under ``keys`` (keys may repeat)."""
+        merged = np.union1d(self.keys, keys)
+        total = np.zeros((merged.size, self.counts.shape[1]), dtype=np.int64)
+        total[np.searchsorted(merged, self.keys)] = self.counts
+        np.add.at(total, np.searchsorted(merged, keys), counts)
+        return merged, total
+
+    def fold(self, keys: np.ndarray, counts: np.ndarray) -> None:
+        """Add the ``counts`` rows under the pair ``keys`` (keys may repeat)."""
+        self.keys, self.counts = self._merged(keys, counts)
+
+    def counters(
+        self, labels: Sequence[NodeId], keys: np.ndarray, counts: np.ndarray
+    ) -> list[Counter]:
+        """One reference-format counter per column, with live rows folded in.
+
+        ``keys`` / ``counts`` are the live snapshot's rows; the ledger
+        itself is left untouched.  A counter maps the ``repr``-sorted label
+        pair of each edge to its count: every live key appears (even at
+        zero), a retired key only where its count is nonzero.  Pairs are
+        built by ranking the label reprs once, so labels that share a
+        repr share a counter entry.
+        """
+        all_keys, all_counts = self._merged(keys, counts)
+        names, rank = np.unique(np.array([repr(label) for label in labels]), return_inverse=True)
+        first, second = rank[all_keys >> 32], rank[all_keys & _LOW_32]
+        pairs, group = np.unique(
+            (np.minimum(first, second) << 32) | np.maximum(first, second), return_inverse=True
+        )
+        totals = np.zeros((pairs.size, all_counts.shape[1]), dtype=np.int64)
+        np.add.at(totals, group, all_counts)
+        # Entries follow the live rows' order, then retired pairs in key
+        # order, so a run without resyncs lists edges as its snapshot does.
+        position = np.full(pairs.size, keys.size, dtype=np.int64)
+        np.minimum.at(position, group[np.searchsorted(all_keys, keys)], np.arange(keys.size))
+        order = np.argsort(position, kind="stable")
+        pairs, totals, live = pairs[order], totals[order], position[order] < keys.size
+        label_pairs = list(zip(names[pairs >> 32].tolist(), names[pairs & _LOW_32].tolist()))
+        result = []
+        for column in totals.T:
+            shown = live | (column != 0)
+            counts_shown = column[shown].tolist()
+            result.append(Counter(dict(zip(compress(label_pairs, shown.tolist()), counts_shown))))
+        return result
+
+
+def drop_pending(
+    due: dict[int, list[tuple]], removed: set[tuple[int, int]], num_nodes: int, stride: int = 1
+) -> Optional[tuple]:
+    """Cut in-flight exchanges over ``removed`` directed pairs out of ``due``.
+
+    ``due`` maps a completion round to batches of array columns whose first
+    two columns are initiator and responder node indices (multiplied by
+    ``stride`` when the columns hold flattened ``node * stride + rep``
+    positions).  The removed keys are sorted once; each batch is
+    prefiltered by a per-node "initiator touched" mask and only the
+    candidates are looked up.  Returns the dropped rows as one tuple of
+    concatenated columns, or ``None`` when nothing was in flight over them.
+    """
+    removed_keys = np.sort(
+        np.fromiter(((i << 32) | j for i, j in removed), dtype=np.int64, count=len(removed))
+    )
+    touched = np.zeros(num_nodes, dtype=bool)
+    touched[removed_keys >> 32] = True
+    dropped: list[tuple] = []
+    for completes_at, batches in list(due.items()):
+        kept: list[tuple] = []
+        changed = False
+        for entry in batches:
+            initiators, responders = entry[0], entry[1]
+            if stride != 1:  # pragma: no cover - flattened columns only occur on static runs
+                initiators, responders = initiators // stride, responders // stride
+            candidates = np.flatnonzero(touched[initiators])
+            if candidates.size:
+                keys = (initiators[candidates] << 32) | responders[candidates]
+                candidates = candidates[sorted_contains(removed_keys, keys)]
+            if not candidates.size:
+                kept.append(entry)
+                continue
+            changed = True
+            keep = np.ones(initiators.size, dtype=bool)
+            keep[candidates] = False
+            dropped.append(tuple(part[candidates] for part in entry))
+            if keep.any():
+                kept.append(tuple(part[keep] for part in entry))
+        if changed:
+            if kept:
+                due[completes_at] = kept
+            else:
+                del due[completes_at]
+    if not dropped:
+        return None
+    return tuple(np.concatenate(parts) for parts in zip(*dropped))
 
 
 def apply_event(

@@ -51,14 +51,20 @@ picks it for declarative single runs on graphs with at least
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable
 from typing import Any, Optional
 
 import numpy as np
 
 from ..graphs.weighted_graph import GraphError, NodeId, WeightedGraph
-from .dynamics import FaultState, TopologyDynamics, apply_events
+from .dynamics import (
+    ActivationLedger,
+    FaultMirror,
+    TopologyDynamics,
+    apply_events,
+    drop_pending,
+    sorted_contains,
+)
 from .messages import Rumor
 from .metrics import SimulationMetrics
 from .protocol import RoundPolicySpec, SimulationError, register_engine
@@ -75,27 +81,23 @@ EDGE_ACTIVATION_SLOT_LIMIT = 2_000_000
 DEFAULT_MEMORY_LIMIT = 4 * 1024**3
 
 
-class _EdgeFaultState(FaultState):
-    """A :class:`FaultState` that mirrors new faults into edge-engine masks."""
+def check_footprint(
+    estimate: dict[str, int], limit: int, refusal: str, subject: str, remedy: str
+) -> None:
+    """Raise :class:`SimulationError` when ``estimate["total"]`` exceeds ``limit``.
 
-    __slots__ = ("_engine",)
-
-    def __init__(self, engine: "EdgeEngine") -> None:
-        super().__init__()
-        self._engine = engine
-
-    def crash(self, node: NodeId) -> None:
-        """Crash-stop ``node`` (idempotent)."""
-        if node not in self.crashed:
-            self.crashed.add(node)
-            self._engine._on_crash(node)
-
-    def drop_edge(self, u: NodeId, v: NodeId) -> None:
-        """Fault the edge ``{u, v}``."""
-        key = frozenset((u, v))
-        if key not in self.dropped:
-            self.dropped.add(key)
-            self._engine._on_edge_fault(u, v)
+    The message names every term of the estimate in GiB, so a refused run
+    says which array would not fit.
+    """
+    if estimate["total"] <= limit:
+        return
+    detail = ", ".join(
+        f"{key}={value / 1024**3:.2f} GiB" for key, value in estimate.items() if key != "total"
+    )
+    raise SimulationError(
+        f"{refusal}: estimated footprint {estimate['total'] / 1024**3:.2f} GiB ({detail}) "
+        f"for {subject} exceeds the {limit / 1024**3:.2f} GiB memory limit; {remedy}"
+    )
 
 
 @register_engine("edge")
@@ -159,17 +161,15 @@ class EdgeEngine:
         # (initiators, responders, payload_i, payload_j) array columns.
         self._due: dict[int, list[tuple]] = {}
         # Fault state: label-based sets (shared applier) + index mirrors.
-        self._fault_state: FaultState = _EdgeFaultState(self)
+        self._fault_state = FaultMirror(self)
         self._crashed_mask = np.zeros(n, dtype=bool)
-        self._dropped_keys: set[int] = set()
-        self._dropped_keys_arr: Optional[np.ndarray] = None
-        self._deferred_faults: list[tuple] = []
+        self._dropped_keys = np.empty(0, dtype=np.int64)  # sorted directed pair keys
         # Edge-activation accounting (FastEngine-compatible): per-slot
-        # counts plus a counter for slots retired by topology resyncs.
+        # counts plus a one-column ledger for slots retired by resyncs.
         self._slot_counts = (
             np.zeros(self._indices.size, dtype=np.int64) if track_edge_activations else None
         )
-        self._folded_activations: Counter = Counter()
+        self._ledger = ActivationLedger(1)
         # SIR recovery state, initialized lazily on first contact with the
         # "sir" gate (a step under it, or one of the sir_* predicates).
         self._sir_infected_at: Optional[np.ndarray] = None  # (n,) int64, -1 = never
@@ -217,21 +217,14 @@ class EdgeEngine:
 
     def _check_memory(self, words: int, action: str) -> None:
         """Raise :class:`SimulationError` when the estimate exceeds the limit."""
-        estimate = self._estimate_bytes(words)
-        if estimate["total"] > self._memory_limit:
-            n = self._idx.num_nodes
-            detail = ", ".join(
-                f"{key}={value / 1024**3:.2f} GiB"
-                for key, value in estimate.items()
-                if key != "total"
-            )
-            raise SimulationError(
-                f"edge backend refuses {action}: estimated footprint "
-                f"{estimate['total'] / 1024**3:.2f} GiB ({detail}) for n={n}, "
-                f"{words * 64} rumor bits exceeds the {self._memory_limit / 1024**3:.2f} GiB "
-                "memory limit; lower n, seed fewer rumors (all-to-all needs n^2/8 bytes), "
-                "or raise EdgeEngine(memory_limit=...)"
-            )
+        check_footprint(
+            self._estimate_bytes(words),
+            self._memory_limit,
+            f"edge backend refuses {action}",
+            f"n={self._idx.num_nodes}, {words * 64} rumor bits",
+            "lower n, seed fewer rumors (all-to-all needs n^2/8 bytes), "
+            "or raise EdgeEngine(memory_limit=...)",
+        )
 
     @property
     def num_nodes(self) -> int:
@@ -452,40 +445,13 @@ class EdgeEngine:
     # ------------------------------------------------------------------
     # Fault events (node-crash / edge-fault, via the shared applier)
     # ------------------------------------------------------------------
-    def _on_crash(self, label: NodeId) -> None:
+    def _on_crash(self, i: int) -> None:
         """Mask a newly crashed node out of the round loop."""
-        i = self._idx.index.get(label)
-        if i is None:
-            self._deferred_faults.append(("crash", label))
-            return
         self._crashed_mask[i] = True
 
-    def _on_edge_fault(self, u: NodeId, v: NodeId) -> None:
+    def _on_edge_fault(self, i: int, j: int) -> None:
         """Register a faulted edge as a pair of directed suppression keys."""
-        iu, iv = self._idx.index.get(u), self._idx.index.get(v)
-        if iu is None or iv is None:
-            self._deferred_faults.append(("edge", u, v))
-            return
-        self._dropped_keys.add((iu << 32) | iv)
-        self._dropped_keys.add((iv << 32) | iu)
-        self._dropped_keys_arr = None
-
-    def _apply_deferred_faults(self) -> None:
-        """Replay fault bookkeeping parked for a mid-round CSR re-snapshot."""
-        deferred, self._deferred_faults = self._deferred_faults, []
-        for entry in deferred:
-            if entry[0] == "crash":
-                if self._idx.index.get(entry[1]) is None:
-                    raise GraphError(
-                        f"node-crash event names {entry[1]!r}, which is not in the simulated graph"
-                    )
-                self._on_crash(entry[1])
-            else:
-                self._on_edge_fault(entry[1], entry[2])
-        if self._deferred_faults:  # still unresolved after a resync: a real bug
-            raise GraphError(
-                f"fault events reference nodes unknown to the engine: {self._deferred_faults!r}"
-            )
+        self._dropped_keys = np.union1d(self._dropped_keys, [(i << 32) | j, (j << 32) | i])
 
     # ------------------------------------------------------------------
     # Topology changes (dynamics events and direct graph mutation)
@@ -502,8 +468,7 @@ class EdgeEngine:
                 severed = apply_events(self.graph, events, self._fault_state)
         if self.graph.version != self._graph_version:
             self._resync_topology(severed, events_only)
-        if self._deferred_faults:
-            self._apply_deferred_faults()
+        self._fault_state.replay()
 
     def _resync_topology(self, severed: set, events_only: bool) -> None:
         """Re-snapshot the CSR core after the graph mutated.
@@ -570,50 +535,21 @@ class EdgeEngine:
 
     def _drop_pending_over(self, removed: set[tuple[int, int]]) -> None:
         """Drop in-flight exchanges travelling over removed directed pairs."""
-        removed_keys = np.fromiter(
-            ((i << 32) | j for i, j in removed), dtype=np.int64, count=len(removed)
-        )
-        lost = 0
-        for completes_at, batches in list(self._due.items()):
-            kept: list[tuple] = []
-            changed = False
-            for entry in batches:
-                initiators, responders = entry[0], entry[1]
-                keys = (initiators << 32) | responders
-                drop = np.isin(keys, removed_keys)
-                if not drop.any():
-                    kept.append(entry)
-                    continue
-                changed = True
-                if self._outstanding is not None:
-                    np.subtract.at(self._outstanding, initiators[drop], 1)
-                lost += int(drop.sum())
-                keep = ~drop
-                if keep.any():
-                    kept.append(tuple(part[keep] for part in entry))
-            if changed:
-                if kept:
-                    self._due[completes_at] = kept
-                else:
-                    del self._due[completes_at]
-        if lost:
-            self.metrics.record_lost(lost)
+        dropped = drop_pending(self._due, removed, self._idx.num_nodes)
+        if dropped is None:
+            return
+        if self._outstanding is not None:
+            np.subtract.at(self._outstanding, dropped[0], 1)
+        self.metrics.record_lost(dropped[0].size)
+
+    def _live_activations(self, idx) -> tuple[np.ndarray, np.ndarray]:
+        """Index-pair keys and one-column counts of the nonzero slot counts."""
+        nonzero = np.flatnonzero(self._slot_counts)
+        return idx.slot_pair_keys()[nonzero], self._slot_counts[nonzero, None]
 
     def _fold_slot_counts(self, idx) -> None:
-        """Fold a retiring snapshot's per-slot activation counts away."""
-        counter = self._folded_activations
-        slot_counts = self._slot_counts
-        nonzero = np.nonzero(slot_counts)[0]
-        if not nonzero.size:
-            return
-        reprs = [repr(label) for label in idx.labels]
-        sources = np.searchsorted(idx.indptr, nonzero, side="right") - 1
-        indices = idx.indices
-        for slot, i in zip(nonzero.tolist(), sources.tolist()):
-            first, second = reprs[i], reprs[int(indices[slot])]
-            if second < first:
-                first, second = second, first
-            counter[(first, second)] += int(slot_counts[slot])
+        """Move a retiring snapshot's nonzero slot counts into the ledger."""
+        self._ledger.fold(*self._live_activations(idx))
 
     # ------------------------------------------------------------------
     # Core stepping
@@ -639,15 +575,10 @@ class EdgeEngine:
                     "never accounted as initiated"
                 )
         metrics = self.metrics
-        if self._crashed_mask.any() or self._dropped_keys:
+        if self._crashed_mask.any() or self._dropped_keys.size:
             suppressed = self._crashed_mask[initiators] | self._crashed_mask[responders]
-            if self._dropped_keys:
-                if self._dropped_keys_arr is None:
-                    self._dropped_keys_arr = np.fromiter(
-                        self._dropped_keys, dtype=np.int64, count=len(self._dropped_keys)
-                    )
-                keys = (initiators << 32) | responders
-                suppressed |= np.isin(keys, self._dropped_keys_arr)
+            if self._dropped_keys.size:
+                suppressed |= sorted_contains(self._dropped_keys, (initiators << 32) | responders)
             if suppressed.any():
                 metrics.suppressed_exchanges += int(suppressed.sum())
                 delivered = ~suppressed
@@ -841,22 +772,15 @@ class EdgeEngine:
         )
 
     def _materialize_edge_activations(self) -> None:
-        """Fold per-slot activation counts into the reference-format counter."""
+        """Fold per-slot activation counts into the reference-format counter.
+
+        Rebuilt from the ledger plus the live slot counts each time, so a
+        repeated call (a multi-phase run reusing the engine) stays exact.
+        """
         if not self._track_activations:
             return
-        idx = self._idx
         counter = self.metrics.edge_activations
         counter.clear()
-        counter.update(self._folded_activations)
-        nonzero = np.nonzero(self._slot_counts)[0]
-        if not nonzero.size:
-            return
-        reprs = [repr(label) for label in idx.labels]
-        sources = np.searchsorted(idx.indptr, nonzero, side="right") - 1
-        indices = idx.indices
-        slot_counts = self._slot_counts
-        for slot, i in zip(nonzero.tolist(), sources.tolist()):
-            first, second = reprs[i], reprs[int(indices[slot])]
-            if second < first:
-                first, second = second, first
-            counter[(first, second)] += int(slot_counts[slot])
+        counter.update(
+            self._ledger.counters(self._idx.labels, *self._live_activations(self._idx))[0]
+        )

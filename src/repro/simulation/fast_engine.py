@@ -34,43 +34,13 @@ from typing import Any, Optional
 import numpy as np
 
 from ..graphs.weighted_graph import GraphError, NodeId, WeightedGraph
-from .dynamics import FaultState, TopologyDynamics, apply_events
+from .dynamics import FaultMirror, TopologyDynamics, apply_events
 from .messages import Rumor
 from .metrics import SimulationMetrics
 from .protocol import RoundPolicySpec, register_engine
 from .rng import degrees_array, is_numpy_generator, uniform_slot_offsets
 
 __all__ = ["FastEngine"]
-
-
-class _IndexedFaultState(FaultState):
-    """A :class:`FaultState` that mirrors updates into FastEngine indices.
-
-    The label-based sets stay authoritative (the shared applier and any
-    parity assertions read them); each *new* fault additionally notifies
-    the owning engine so it can maintain its contiguous-index bookkeeping
-    (crashed-index set, dropped directed pairs, survivor-informed counts)
-    without re-deriving it per round.
-    """
-
-    __slots__ = ("_engine",)
-
-    def __init__(self, engine: "FastEngine") -> None:
-        super().__init__()
-        self._engine = engine
-
-    def crash(self, node: NodeId) -> None:
-        """Crash-stop ``node``, updating the engine's index mirrors once."""
-        if node not in self.crashed:
-            self.crashed.add(node)
-            self._engine._on_crash(node)
-
-    def drop_edge(self, u: NodeId, v: NodeId) -> None:
-        """Fault the edge ``{u, v}``, updating the directed-pair mirror once."""
-        key = frozenset((u, v))
-        if key not in self.dropped:
-            self.dropped.add(key)
-            self._engine._on_edge_fault(u, v)
 
 
 @register_engine("fast")
@@ -133,13 +103,9 @@ class FastEngine:
         self._lb_done = 0
         # Fault bookkeeping: the shared label-based state plus index mirrors
         # (stable across CSR re-snapshots because node indices only append).
-        self._fault_state: FaultState = _IndexedFaultState(self)
+        self._fault_state = FaultMirror(self)
         self._crashed_idx: set[int] = set()
         self._dropped_pairs: set[tuple[int, int]] = set()
-        # Fault events naming a node added earlier in the same round reach
-        # _on_crash/_on_edge_fault before the CSR re-snapshot; their index
-        # bookkeeping is parked here and replayed right after the resync.
-        self._deferred_faults: list[tuple] = []
         # SIR recovery state, initialized lazily on first contact with the
         # "sir" gate (a step under it, or one of the sir_* predicates).
         self._sir_infected_at: Optional[list[int]] = None  # -1 = never infected
@@ -413,21 +379,14 @@ class FastEngine:
     # ------------------------------------------------------------------
     # Fault events (node-crash / edge-fault, via the shared applier)
     # ------------------------------------------------------------------
-    def _on_crash(self, label: NodeId) -> None:
+    def _on_crash(self, i: int) -> None:
         """Index-side bookkeeping for a (new) ``node-crash`` event.
 
         The node's contributions to the per-bit informed counts are retired
         so the counters track *survivors* from here on — its knowledge is
         frozen (every delivery touching it is suppressed), so the retired
-        contribution can never change again.  A label the current CSR
-        snapshot does not know yet (the shared applier validated it exists
-        in the graph, so it was appended earlier this round) is deferred
-        until the post-event resync.
+        contribution can never change again.
         """
-        i = self._idx.index.get(label)
-        if i is None:
-            self._deferred_faults.append(("crash", label))
-            return
         self._crashed_idx.add(i)
         informed = self._informed_count
         bits = self._know[i]
@@ -438,32 +397,10 @@ class FastEngine:
         if self._sir_infected_at is not None and self._sir_infected_at[i] >= 0:
             self._sir_ever -= 1
 
-    def _on_edge_fault(self, u: NodeId, v: NodeId) -> None:
+    def _on_edge_fault(self, i: int, j: int) -> None:
         """Index-side bookkeeping for a (new) ``edge-fault`` event."""
-        iu, iv = self._idx.index.get(u), self._idx.index.get(v)
-        if iu is None or iv is None:
-            self._deferred_faults.append(("edge", u, v))
-            return
-        self._dropped_pairs.add((iu, iv))
-        self._dropped_pairs.add((iv, iu))
-
-    def _apply_deferred_faults(self) -> None:
-        """Replay fault bookkeeping parked for a mid-round CSR re-snapshot."""
-        deferred, self._deferred_faults = self._deferred_faults, []
-        for entry in deferred:
-            if entry[0] == "crash":
-                i = self._idx.index.get(entry[1])
-                if i is None:
-                    raise GraphError(
-                        f"node-crash event names {entry[1]!r}, which is not in the simulated graph"
-                    )
-                self._on_crash(entry[1])
-            else:
-                self._on_edge_fault(entry[1], entry[2])
-        if self._deferred_faults:  # still unresolved after a resync: a real bug
-            raise GraphError(
-                f"fault events reference nodes unknown to the engine: {self._deferred_faults!r}"
-            )
+        self._dropped_pairs.add((i, j))
+        self._dropped_pairs.add((j, i))
 
     # ------------------------------------------------------------------
     # Topology changes (dynamics events and direct graph mutation)
@@ -486,8 +423,7 @@ class FastEngine:
                 severed = apply_events(self.graph, events, self._fault_state)
         if self.graph.version != self._graph_version:
             self._resync_topology(severed, events_only)
-        if self._deferred_faults:
-            self._apply_deferred_faults()
+        self._fault_state.replay()
 
     def _resync_topology(self, severed: frozenset = frozenset(), events_only: bool = False) -> None:
         """Re-snapshot the CSR core after the graph mutated.

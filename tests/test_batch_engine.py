@@ -27,6 +27,8 @@ from repro.simulation import (
     BatchPolicySpec,
     EngineSelectionError,
     PolicyCapability,
+    SimulationError,
+    batch_engine,
     replication_rngs,
     resolve_backend,
 )
@@ -241,6 +243,39 @@ def test_batch_engine_survives_rounds_beyond_int16_range():
             policy, lambda eng: np.zeros(1, dtype=bool), max_rounds=33_000
         )
     assert engine.round == 33_000
+
+
+# ----------------------------------------------------------------------
+# Memory guard (the edge backend's estimator, extended by the rep axis)
+# ----------------------------------------------------------------------
+def test_memory_guard_refuses_oversized_reps_up_front():
+    graph = weighted_erdos_renyi(64, 0.3, seed=1)
+    with pytest.raises(SimulationError, match="batch backend refuses constructing") as excinfo:
+        BatchEngine(graph, reps=10_000_000)
+    message = str(excinfo.value)
+    # The estimate and its terms are in the message, in GiB.
+    assert "reps=10000000" in message
+    terms = ("knowledge", "edge-counts", "activation-buffers", "round-buffers", "pipeline")
+    assert all(f"{term}=" in message for term in terms)
+    total = float(message.split("estimated footprint ")[1].split(" GiB")[0])
+    assert total > batch_engine.DEFAULT_MEMORY_LIMIT / 1024**3
+
+
+def test_memory_guard_blocks_knowledge_word_growth(monkeypatch):
+    graph = weighted_erdos_renyi(80, 0.15, seed=2)
+    engine = BatchEngine(graph, reps=3)
+    # The single-word plane fits exactly; a 65th rumor needs a second word.
+    monkeypatch.setattr(
+        batch_engine, "DEFAULT_MEMORY_LIMIT", engine._estimate_bytes(words=1)["total"]
+    )
+    with pytest.raises(SimulationError, match="growing to 128 rumor bits"):
+        engine.seed_all_rumors()
+    assert len(engine._rumors) == 64 and engine._words == 1  # refused before registering
+    rumor = engine.seed_rumor(graph.nodes()[0])
+    policy = BatchPolicySpec(
+        select="uniform-random", gate="all", rngs=tuple(replication_rngs(1, 3))
+    )
+    engine.run_batch(policy, lambda eng: eng.dissemination_complete_mask(rumor))
 
 
 def test_batch_parity_beyond_64_rumors_multi_word_planes():

@@ -113,6 +113,42 @@ class TestLazySlotEdgeId:
         assert np.array_equal(direct.slot_edge_id, idx.slot_edge_id)
         assert direct._slot_edge_id is not None  # memoized
 
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_dict_build_edge_ids_are_first_appearance_numbering(self, seed):
+        # Mixed labels (ints, strings, tuples) and isolated nodes, inserted
+        # in an order unrelated to the labels' own ordering.
+        source = weighted_erdos_renyi(30, 0.12, seed=seed)
+        relabel = {
+            k: k if k % 3 == 0 else f"s{29 - k}" if k % 3 == 1 else ("t", k) for k in range(30)
+        }
+        graph = WeightedGraph()
+        graph.add_node("isolated-first")
+        for k in source.nodes():
+            graph.add_node(relabel[k])
+            if k == 11:
+                graph.add_node(("isolated", k))
+        for edge in source.edges():
+            graph.add_edge(relabel[edge.u], relabel[edge.v], edge.latency)
+        graph.add_node(-1)
+        idx = IndexedGraph(graph)
+        assert idx._slot_edge_id is None  # deferred on the dict path too
+        assert idx.degree(idx.index_of("isolated-first")) == 0
+        expected: list[int] = []
+        seen: dict[frozenset, int] = {}
+        for i in range(idx.num_nodes):
+            for j in idx.neighbors(i):
+                expected.append(seen.setdefault(frozenset((i, j)), len(seen)))
+        assert idx.slot_edge_id.tolist() == expected
+        assert idx.num_edges == len(seen) == graph.num_edges
+        direct = IndexedGraph.from_csr(idx.labels, idx.indptr, idx.indices, idx.latencies)
+        for attr in ("indptr", "indices", "latencies", "slot_edge_id", "slot_pair_keys"):
+            ours, theirs = getattr(idx, attr), getattr(direct, attr)
+            if callable(ours):
+                ours, theirs = ours(), theirs()
+            assert ours.dtype == theirs.dtype == np.int64
+            assert np.array_equal(ours, theirs)
+        assert direct.num_edges == idx.num_edges
+
     def test_lazy_build_rejects_asymmetric_arrays(self):
         broken = IndexedGraph.from_csr(
             [0, 1],
