@@ -321,7 +321,9 @@ def _command_conductance(args: argparse.Namespace) -> int:
         print(f"scope            = {scope}")
         print(f"solver           = {estimate.method}")
         print(f"lambda2          = {estimate.lambda2:.6f}")
-        print(f"cheeger interval = [{lower:.6f}, {upper:.6f}]")
+        # An unconverged solve certifies only the upper end (lower is 0.0).
+        marker = "" if estimate.converged else "  uncertified (solve did not converge)"
+        print(f"cheeger interval = [{lower:.6f}, {upper:.6f}]{marker}")
         print(f"phi_hat (sweep)  = {estimate.phi:.6f}")
         print(f"best prefix size = {estimate.prefix}")
         print(f"iterations       = {estimate.iterations}  (converged={estimate.converged})")

@@ -30,7 +30,8 @@ ever forms a dense matrix:
 
 Cheeger's inequality ``λ2/2 ≤ φ ≤ √(2·λ2)`` ties the eigenvalue to the
 swept conductance; :func:`cheeger_bounds` exposes the interval and the
-tests pin the sandwich on random graphs.
+tests pin the sandwich on random graphs.  A solve's ``cheeger_interval``
+certifies the lower end only when it converged.
 """
 
 from __future__ import annotations
@@ -203,8 +204,22 @@ class FiedlerResult:
     method: str
 
     def cheeger_interval(self) -> tuple[float, float]:
-        """The Cheeger sandwich ``[λ2/2, √(2·λ2)]`` around the conductance."""
-        return cheeger_bounds(self.lambda2)
+        """The Cheeger sandwich ``[λ2/2, √(2·λ2)]`` around the conductance.
+
+        The lower end is ``0.0`` unless the solve converged (see
+        :func:`_solve_interval`).
+        """
+        return _solve_interval(self.lambda2, self.converged)
+
+
+def _solve_interval(lambda2: float, converged: bool) -> tuple[float, float]:
+    """Cheeger's interval for a solve's eigenvalue estimate ``λ̂2``.
+
+    An unconverged Rayleigh quotient only bounds λ2 from above, so only
+    ``√(2·λ̂2)`` is certified then and the lower end falls back to ``0.0``.
+    """
+    lower, upper = cheeger_bounds(lambda2)
+    return (lower if converged else 0.0), upper
 
 
 def cheeger_bounds(lambda2: float) -> tuple[float, float]:
@@ -477,8 +492,12 @@ class SpectralEstimate:
     method: str
 
     def cheeger_interval(self) -> tuple[float, float]:
-        """The Cheeger sandwich ``[λ2/2, √(2·λ2)]`` around the true φ."""
-        return cheeger_bounds(self.lambda2)
+        """The Cheeger sandwich ``[λ2/2, √(2·λ2)]`` around the true φ.
+
+        The lower end is ``0.0`` unless the solve converged (see
+        :func:`_solve_interval`).
+        """
+        return _solve_interval(self.lambda2, self.converged)
 
 
 def spectral_conductance(

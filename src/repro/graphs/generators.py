@@ -18,7 +18,7 @@ from typing import Optional
 import networkx as nx
 import numpy as np
 
-from ..simulation.rng import derive_seed
+from ..simulation.rng import REPLAY_BLOCK, MersenneReplay, derive_seed
 from .indexed import CSRGraph
 from .weighted_graph import GraphError, WeightedGraph
 
@@ -68,7 +68,9 @@ __all__ = [
 #: big enough that the dict-of-dicts build dominates setup time.
 CSR_AUTO_THRESHOLD = 100_000
 
-# A latency model maps (rng, u, v) -> positive integer latency.
+# A latency model maps (rng, u, v) -> positive integer latency.  A model may
+# also carry a vectorized ``sample(stream, count)`` that returns the int64
+# array ``count`` scalar calls would (see :func:`_sampled_latencies`).
 LatencyModel = Callable[[random.Random, int, int], int]
 
 
@@ -83,6 +85,10 @@ def constant_latency(value: int = 1) -> LatencyModel:
     def model(_rng: random.Random, _u: int, _v: int) -> int:
         return value
 
+    def sample(_stream: MersenneReplay, count: int) -> np.ndarray:
+        return np.full(count, value, dtype=np.int64)
+
+    model.sample = sample
     return model
 
 
@@ -94,6 +100,15 @@ def uniform_latency(low: int = 1, high: int = 16) -> LatencyModel:
     def model(rng: random.Random, _u: int, _v: int) -> int:
         return rng.randint(low, high)
 
+    width = high - low + 1
+
+    def sample(stream: MersenneReplay, count: int) -> np.ndarray:
+        return low + stream.randrange(width, count)
+
+    # randint(low, high) is low + randrange(width).  The replay decodes one
+    # word per try, so wider ranges (and non-int bounds) keep the scalar path.
+    if isinstance(width, int) and width < 2**32:
+        model.sample = sample
     return model
 
 
@@ -111,6 +126,10 @@ def bimodal_latency(fast: int = 1, slow: int = 64, slow_fraction: float = 0.5) -
     def model(rng: random.Random, _u: int, _v: int) -> int:
         return slow if rng.random() < slow_fraction else fast
 
+    def sample(stream: MersenneReplay, count: int) -> np.ndarray:
+        return np.where(stream.random(count) < slow_fraction, slow, fast)
+
+    model.sample = sample
     return model
 
 
@@ -142,12 +161,43 @@ def power_law_latency(alpha: float = 2.0, max_latency: int = 1024) -> LatencyMod
     return model
 
 
+def _sampled_latencies(model: LatencyModel, rng: random.Random, count: int) -> Optional[np.ndarray]:
+    """``count`` latencies from ``model.sample`` replaying ``rng``, or ``None``.
+
+    The built-in constant, uniform and bimodal models carry a ``sample``
+    that decodes ``rng``'s own Mersenne Twister words in numpy
+    (:class:`~repro.simulation.rng.MersenneReplay`), so the array equals
+    ``count`` scalar ``model(rng, u, v)`` calls and ``rng`` ends in the
+    same state.  ``None`` means the model has no ``sample`` (geometric,
+    power-law, user callables that read ``u, v``): draw per edge instead.
+    """
+    sample = getattr(model, "sample", None)
+    if sample is None:
+        return None
+    with MersenneReplay(rng) as stream:
+        latencies = np.asarray(sample(stream, count), dtype=np.int64)
+    if latencies.shape != (count,):
+        raise GraphError(f"latency model sample returned shape {latencies.shape}, expected ({count},)")
+    return latencies
+
+
 def assign_latencies(graph: WeightedGraph, model: LatencyModel, seed: int = 0) -> WeightedGraph:
-    """Return a copy of ``graph`` with every edge's latency re-drawn from ``model``."""
+    """Return a copy of ``graph`` with every edge's latency re-drawn from ``model``.
+
+    Edges draw in ``graph.edges()`` order from ``random.Random(seed)``: all
+    at once through the model's vectorized ``sample`` when it has one
+    (:func:`_sampled_latencies`), one ``model(rng, u, v)`` call per edge
+    otherwise.  Both give the same latencies.
+    """
     rng = random.Random(seed)
     result = WeightedGraph(graph.nodes())
-    for edge in graph.edges():
-        result.add_edge(edge.u, edge.v, model(rng, edge.u, edge.v))
+    latencies = _sampled_latencies(model, rng, graph.num_edges)
+    if latencies is None:
+        for edge in graph.edges():
+            result.add_edge(edge.u, edge.v, model(rng, edge.u, edge.v))
+        return result
+    for edge, latency in zip(graph.edges(), latencies.tolist()):
+        result.add_edge(edge.u, edge.v, latency)
     return result
 
 
@@ -233,9 +283,14 @@ def erdos_renyi(n: int, p: float, seed: int = 0, ensure_connected: bool = True) 
         raise GraphError("p must be in [0, 1]")
     rng = random.Random(seed)
     graph = WeightedGraph(range(n))
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
+    total = n * (n - 1) // 2
+    # One rng.random() < p coin per pair in row-major order, replayed a
+    # block at a time; hits decode back to (u, v) and are added in order.
+    with MersenneReplay(rng) as stream:
+        for start in range(0, total, REPLAY_BLOCK):
+            coins = stream.random(min(REPLAY_BLOCK, total - start))
+            us, vs = _decode_pair_codes(np.flatnonzero(coins < p) + start, n)
+            for u, v in zip(us.tolist(), vs.tolist()):
                 graph.add_edge(u, v, 1)
     if ensure_connected and n > 1:
         order = list(range(n))
@@ -413,17 +468,22 @@ def _csr_from_edge_stream(
 def _edge_stream_latencies(
     u: "np.ndarray", v: "np.ndarray", model: Optional[LatencyModel], seed: int
 ) -> "np.ndarray":
-    """Latencies for an edge stream: vectorized for the default model.
+    """Latencies for an edge stream, one per edge in stream order.
 
     With ``model=None`` the default uniform ``[1, 16]`` latencies come from
-    one numpy draw (its own seed stream); an explicit model is honoured by
-    calling it per edge with the classic ``random.Random(seed)``, trading
-    build speed for the model abstraction.
+    one numpy draw (its own seed stream).  An explicit model draws from the
+    classic ``random.Random(seed)``: through its vectorized ``sample`` when
+    it has one (:func:`_sampled_latencies`; the built-in constant, uniform
+    and bimodal models do), by one ``model(rng, u, v)`` call per edge
+    otherwise.  Both give the same latencies.
     """
     if model is None:
         rng = np.random.default_rng([seed, 0x1A7E4C7])
         return rng.integers(1, 17, size=len(u), dtype=np.int64)
     py_rng = random.Random(seed)
+    latencies = _sampled_latencies(model, py_rng, len(u))
+    if latencies is not None:
+        return latencies
     return np.fromiter(
         (model(py_rng, a, b) for a, b in zip(u.tolist(), v.tolist())),
         dtype=np.int64,
@@ -495,14 +555,20 @@ def _backbone_missing(
     """Mask of backbone edges ``(a, b)`` *absent* from the sorted ``codes``.
 
     Membership via searchsorted — np.isin re-sorts and is far slower on
-    this scale.
+    this scale.  The needles are searched in sorted order (numpy starts
+    each search where the last one ended, and memory access stays local)
+    and the result is scattered back to backbone order.
     """
     backbone = _pair_codes(a, b, n)
-    pos = np.searchsorted(codes, backbone)
-    present = np.zeros(len(backbone), dtype=bool)
+    order = np.argsort(backbone)
+    needles = backbone[order]
+    pos = np.searchsorted(codes, needles)
+    present = np.zeros(len(needles), dtype=bool)
     in_range = pos < codes.size
-    present[in_range] = codes[pos[in_range]] == backbone[in_range]
-    return ~present
+    present[in_range] = codes[pos[in_range]] == needles[in_range]
+    missing = np.empty(len(backbone), dtype=bool)
+    missing[order] = ~present
+    return missing
 
 
 def _er_edge_stream(

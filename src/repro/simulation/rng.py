@@ -21,6 +21,16 @@ runs.  Under the numpy mode an engine draws **one uniform vector per round**
 a neighbour slot with :func:`uniform_slot_offsets`; both engines share that
 helper, so a batched column and its sequential twin consume identical
 streams and make identical choices bit for bit.
+
+Replaying a ``random.Random`` in numpy
+--------------------------------------
+Graph builders draw one value per edge (latencies) or per node pair
+(Erdős–Rényi coins) from a classic ``random.Random``.  :class:`MersenneReplay`
+loads that rng's Mersenne Twister state into numpy's ``MT19937`` and draws
+the same 32-bit words in blocks, decoding them exactly as CPython's
+``random()`` and ``randrange()`` do; it then writes the advanced state back.
+A vectorized build therefore yields the values the scalar calls would have,
+in the same order, and leaves the rng where they would have left it.
 """
 
 from __future__ import annotations
@@ -43,6 +53,8 @@ __all__ = [
     "replication_rngs",
     "is_numpy_generator",
     "uniform_slot_offsets",
+    "MersenneReplay",
+    "REPLAY_BLOCK",
 ]
 
 _MIX_CONSTANT = 0x9E3779B97F4A7C15  # golden-ratio constant for seed mixing
@@ -150,3 +162,93 @@ def uniform_slot_offsets(u: Any, degrees: Any) -> Any:
     np = _require_numpy()
     offsets = (u * degrees).astype(np.int64)
     return np.minimum(offsets, degrees - 1)
+
+
+# ----------------------------------------------------------------------
+# Replaying a random.Random stream in numpy
+# ----------------------------------------------------------------------
+#: Values per numpy draw when replaying a ``random.Random``: bounds the
+#: transient word arrays whatever the size of the build.
+REPLAY_BLOCK = 1 << 16
+
+
+class MersenneReplay:
+    """Draw a ``random.Random``'s own MT19937 words in numpy, then hand them back.
+
+    CPython's ``random.Random`` and numpy's ``MT19937`` are the same
+    generator with the same state layout (624 key words plus a position),
+    so after loading ``rng.getstate()`` into the bit generator its
+    ``random_raw`` returns exactly the words ``rng`` would consume next.
+    :meth:`random` and :meth:`randrange` decode those words as the scalar
+    methods do, value for value; :meth:`close` (or leaving a ``with``
+    block) writes the advanced state back into ``rng``, which then
+    continues as if it had made every call itself.
+
+    Only an exact ``random.Random`` is accepted: a subclass may override
+    ``random`` or ``getrandbits``, and then its scalar draws need not come
+    from this stream.
+    """
+
+    def __init__(self, rng: random.Random) -> None:
+        if type(rng) is not random.Random:
+            raise TypeError(f"only an exact random.Random can be replayed, not {type(rng).__name__}")
+        np = _require_numpy()
+        self._rng = rng
+        self._version, internal, self._gauss_next = rng.getstate()
+        self._bitgen = np.random.MT19937()
+        self._bitgen.state = {
+            "bit_generator": "MT19937",
+            "state": {"key": np.array(internal[:-1], dtype=np.uint32), "pos": internal[-1]},
+        }
+
+    def __enter__(self) -> "MersenneReplay":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Write the advanced Mersenne Twister state back into the rng."""
+        state = self._bitgen.state["state"]
+        internal = tuple(state["key"].tolist()) + (int(state["pos"]),)
+        self._rng.setstate((self._version, internal, self._gauss_next))
+
+    def random(self, count: int) -> Any:
+        """``count`` float64 values, equal to ``count`` calls of ``rng.random()``.
+
+        CPython builds each float from two words as
+        ``((a >> 5) * 2**26 + (b >> 6)) * 2**-53``, which is exact in float64.
+        """
+        np = _require_numpy()
+        out = np.empty(count, dtype=np.float64)
+        for start in range(0, count, REPLAY_BLOCK):
+            stop = min(count, start + REPLAY_BLOCK)
+            words = self._bitgen.random_raw(2 * (stop - start))
+            mantissa = words[0::2] >> 5
+            mantissa <<= 26
+            mantissa |= words[1::2] >> 6
+            np.multiply(mantissa, 2.0**-53, out=out[start:stop])
+        return out
+
+    def randrange(self, width: int, count: int) -> Any:
+        """``count`` int64 values, equal to ``count`` calls of ``rng.randrange(width)``.
+
+        CPython's ``_randbelow`` takes the top ``width.bit_length()`` bits
+        of one word per try and rejects values ``>= width``; one word per
+        try holds for ``width < 2**32``.  Each block draws no more words
+        than values are still missing, so no word past the last accepted
+        one is consumed.
+        """
+        if not 1 <= width < 2**32:
+            raise ValueError(f"randrange replay needs 1 <= width < 2**32, got {width}")
+        np = _require_numpy()
+        shift = 32 - width.bit_length()
+        out = np.empty(count, dtype=np.int64)
+        filled = 0
+        while filled < count:
+            words = self._bitgen.random_raw(min(REPLAY_BLOCK, count - filled))
+            words >>= shift
+            accepted = words[words < width]
+            out[filled : filled + accepted.size] = accepted
+            filled += accepted.size
+        return out

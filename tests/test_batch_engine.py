@@ -11,7 +11,7 @@ scalar loop, and cover the dispatch/validation surface around ``reps=``.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.gossip import PushPullGossip, ReplicatedResult, Task
 from repro.graphs import weighted_erdos_renyi
@@ -93,21 +93,34 @@ def test_batch_replications_are_independent_and_ordered():
 # ----------------------------------------------------------------------
 # Hypothesis: permutation-free exact match on any library scenario
 # ----------------------------------------------------------------------
+def replicated_rows(spec: ScenarioSpec, reps: int):
+    """``("completed", rows)`` of a replicated run, or ``("stalled", None)`` if it raises."""
+    try:
+        return ("completed", [trajectory(r) for r in run_scenario(spec, reps=reps).results])
+    except RuntimeError:
+        return ("stalled", None)
+
+
 @settings(max_examples=6, deadline=None)
 @given(
     name=st.sampled_from(LIBRARY),
     reps=st.integers(min_value=2, max_value=4),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
+# Seed 152's edge drops isolate a node, so the stall path always runs.
+@example(name="edgedrop-flooding-ba48", reps=2, seed=152)
 def test_property_batch_rows_match_sequential_rows_exactly(name, reps, seed):
-    spec = load_named_scenario(name).patched({"seed": seed})
+    # An unlucky (scenario, seed) draw can disconnect a faulted graph, in
+    # which case dissemination never reaches the stop condition; the
+    # parity contract then is that BOTH backends stall, not that the run
+    # completes.  The cap keeps a stalling draw from burning 100k rounds.
+    spec = load_named_scenario(name).patched({"seed": seed, "max_rounds": 3000})
     algorithm = spec.algorithm
     assert algorithm in ("push-pull", "push", "pull", "flooding", "sir-push-pull")  # all declarative
-    batched, sequential = replicated_pair(spec, reps=reps)
-    batch_rows = [trajectory(r) for r in batched.results]
-    sequential_rows = [trajectory(r) for r in sequential.results]
+    batched = replicated_rows(spec.patched({"engine": "batch"}), reps)
+    sequential = replicated_rows(spec.patched({"engine": "fast"}), reps)
     # Exact match in replication order — not merely as a multiset.
-    assert batch_rows == sequential_rows
+    assert batched == sequential
 
 
 # ----------------------------------------------------------------------

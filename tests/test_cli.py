@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from repro import cli
 from repro.cli import build_graph, main
 
 
@@ -131,6 +132,21 @@ class TestCommands:
         assert exit_code == 0
         assert "phi*" in captured
         assert "Theorem 5 holds  = True" in captured
+
+    def test_conductance_spectral_marks_an_unconverged_interval(self, capsys, monkeypatch):
+        args = ["conductance", "--graph", "erdos-renyi", "--nodes", "600", "--latency", "unit",
+                "--seed", "1", "--spectral"]
+        assert main(args) == 0
+        assert "uncertified" not in capsys.readouterr().out
+        solve = cli.spectral_conductance
+        monkeypatch.setattr(
+            cli, "spectral_conductance", lambda *a, **k: solve(*a, **k, max_iters=1)
+        )
+        assert main(args) == 0
+        captured = capsys.readouterr().out
+        assert "cheeger interval = [0.000000, " in captured
+        assert "uncertified (solve did not converge)" in captured
+        assert "converged=False" in captured
 
     def test_conductance_ell_without_spectral_errors(self, capsys):
         exit_code = main(["conductance", "--nodes", "10", "--ell", "4"])

@@ -209,6 +209,20 @@ class TestCheegerProperty:
         assert upper == pytest.approx(1.0)
         assert cheeger_bounds(-1e-15) == (0.0, 0.0)
 
+    def test_unconverged_solve_certifies_only_the_upper_end(self):
+        # One LOBPCG step cannot converge: its Rayleigh quotient only bounds
+        # λ2 from above, so the lower end is dropped and √(2·λ̂2) is kept.
+        graph = weighted_erdos_renyi(DENSE_EIGH_MAX_NODES + 88, 0.02, seed=4)
+        pair = fiedler_pair(LaplacianOperator.from_indexed(graph.indexed()), 0, max_iters=1)
+        assert not pair.converged
+        assert pair.cheeger_interval() == (0.0, cheeger_bounds(pair.lambda2)[1])
+        estimate = spectral_conductance(graph, seed=0, max_iters=1)
+        assert estimate.method == "lobpcg" and not estimate.converged
+        assert estimate.cheeger_interval() == (0.0, cheeger_bounds(estimate.lambda2)[1])
+        converged = spectral_conductance(graph, seed=0)
+        assert converged.converged
+        assert converged.cheeger_interval() == cheeger_bounds(converged.lambda2)
+
 
 class TestOperator:
     def test_matvec_matches_dense(self):
