@@ -32,7 +32,7 @@ from repro.graphs import (
     weighted_watts_strogatz,
 )
 from repro.simulation import EdgeEngine, FastEngine, RoundPolicySpec
-from repro.simulation.edge_engine import EDGE_ACTIVATION_SLOT_LIMIT
+from repro.simulation.batch_engine import EDGE_ACTIVATION_SLOT_LIMIT
 from repro.simulation.rng import make_numpy_rng
 
 __all__ = ["experiment_e22_family_scale"]

@@ -1,4 +1,4 @@
-"""Experiment harness: sharded sweeps, statistics, tables, and ASCII plots.
+"""Experiment harness: sharded sweeps, statistics, and tables.
 
 The sweep orchestrator
 ----------------------
@@ -72,9 +72,7 @@ from .experiment import (
     sweep,
     sweep_config,
 )
-from .plotting import ascii_scatter, ascii_series
 from .records import ResultRow, ResultTable
-from .report import table_to_markdown, tables_to_markdown
 from .stats import (
     Summary,
     geometric_mean,
@@ -100,8 +98,6 @@ __all__ = [
     "TrialOutcome",
     "TrialRecord",
     "TrialShard",
-    "ascii_scatter",
-    "ascii_series",
     "calibrate",
     "configure_sweeps",
     "curve_rmse",
@@ -123,6 +119,4 @@ __all__ = [
     "summarize",
     "sweep",
     "sweep_config",
-    "table_to_markdown",
-    "tables_to_markdown",
 ]

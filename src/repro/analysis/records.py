@@ -1,7 +1,7 @@
 """Result records: the row format shared by experiments, tables, and CSV output.
 
 An experiment produces a list of :class:`ResultRow` objects — ordered
-mappings from column name to value — which the table / CSV / plotting
+mappings from column name to value — which the table and CSV
 helpers render without knowing anything about the experiment itself.
 """
 

@@ -42,11 +42,11 @@ from .conductance import (
 from .spectral import (
     DENSE_EIGH_MAX_NODES,
     LaplacianOperator,
-    cheeger_bounds,
     fiedler_pair,
     fiedler_pair_dense,
     ordering_from_embedding,
     sweep_cut_conductance,
+    _solve_interval,
 )
 
 __all__ = [
@@ -79,7 +79,8 @@ class EstimatedProfile:
     threshold subgraph ``G_{ℓ*}`` (dense-eigh exact below
     :data:`~repro.core.spectral.DENSE_EIGH_MAX_NODES`, iterative above);
     :meth:`cheeger_interval` turns it into the guaranteed sandwich around
-    the true φ*.
+    the true φ*.  ``converged`` records whether that solve converged (dense
+    solves always do).
     """
 
     critical_phi: float
@@ -87,6 +88,7 @@ class EstimatedProfile:
     phi_avg: float
     exact: bool
     lambda2: Optional[float] = None
+    converged: bool = True
 
     def ratio(self) -> float:
         """Return ``ℓ*/φ*``, the quantity appearing in the paper's bounds."""
@@ -95,10 +97,14 @@ class EstimatedProfile:
         return self.critical_latency / self.critical_phi
 
     def cheeger_interval(self) -> Optional[tuple[float, float]]:
-        """``[λ2/2, √(2·λ2)]`` around the true φ*, if λ2 was computed."""
+        """``[λ2/2, √(2·λ2)]`` around the true φ*, if λ2 was computed.
+
+        An unconverged solve certifies only the upper end; the lower end is
+        then ``0.0``.
+        """
         if self.lambda2 is None:
             return None
-        return cheeger_bounds(self.lambda2)
+        return _solve_interval(self.lambda2, self.converged)
 
 
 def _operator_for_nodes(
@@ -205,17 +211,18 @@ def _fiedler_sweep_value(
     slot_weights: Optional["np.ndarray"],
     seed: int,
     label: str,
-) -> tuple[float, Optional[float]]:
+) -> tuple[float, Optional[float], bool]:
     """Best sweep-cut value along the Fiedler ordering of ``G_ℓ``.
 
-    Returns ``(value, λ2)``; ``(inf, None)`` when the threshold subgraph
-    has fewer than 3 non-isolated nodes and no ordering is meaningful.
+    Returns ``(value, λ2, converged)``; ``(inf, None, True)`` when the
+    threshold subgraph has fewer than 3 non-isolated nodes and no ordering
+    is meaningful.
     """
     if ell is not None and not bool(np.any(snapshot.latencies <= ell)):
-        return math.inf, None
+        return math.inf, None, True
     operator = LaplacianOperator.from_indexed(snapshot, max_latency=ell)
     if operator.num_supported < 3:
-        return math.inf, None
+        return math.inf, None, True
     if snapshot.num_nodes <= DENSE_EIGH_MAX_NODES:
         pair = fiedler_pair_dense(operator)
     else:
@@ -228,7 +235,7 @@ def _fiedler_sweep_value(
         volume_degrees=snapshot.degrees(),
         slot_weights=slot_weights,
     )
-    return sweep.value, pair.lambda2
+    return sweep.value, pair.lambda2, pair.converged
 
 
 def _random_cut_best(
@@ -274,14 +281,19 @@ def _random_cut_best(
 
 def _estimate_phi_ell(
     snapshot: IndexedGraph, ell: int, seed: int, random_samples: int
-) -> tuple[float, Optional[float]]:
-    """Spectral-sweep + random-cut estimate of ``φ_ℓ`` over a snapshot."""
+) -> tuple[float, Optional[float], bool]:
+    """Spectral-sweep + random-cut estimate of ``φ_ℓ`` over a snapshot.
+
+    Returns ``(φ_ℓ, λ2, converged)`` like :func:`_fiedler_sweep_value`.
+    """
     latency_mask = (snapshot.latencies <= ell).astype(np.float64)
     if not bool(latency_mask.any()):
-        return 0.0, None
-    sweep_value, lambda2 = _fiedler_sweep_value(snapshot, ell, latency_mask, seed, "phi-ell")
+        return 0.0, None, True
+    sweep_value, lambda2, converged = _fiedler_sweep_value(
+        snapshot, ell, latency_mask, seed, "phi-ell"
+    )
     random_value = _random_cut_best(snapshot, latency_mask, random_samples, seed, "phi-ell", ell)
-    return min(sweep_value, random_value), lambda2
+    return min(sweep_value, random_value), lambda2, converged
 
 
 def estimate_weight_ell_conductance(
@@ -300,7 +312,7 @@ def estimate_weight_ell_conductance(
     """
     if graph.num_nodes <= max_exact_nodes:
         return weight_ell_conductance(graph, ell, max_exact_nodes).value
-    value, _ = _estimate_phi_ell(graph.indexed(), ell, seed, random_samples)
+    value, _, _ = _estimate_phi_ell(graph.indexed(), ell, seed, random_samples)
     return value
 
 
@@ -310,7 +322,7 @@ def estimate_critical_conductance(
     max_exact_nodes: int = DEFAULT_MAX_EXACT_NODES,
 ) -> tuple[float, int]:
     """Estimate ``(φ*, ℓ*)`` (exact when the graph is small enough)."""
-    phi_star, ell_star, _ = _estimate_critical_with_gap(graph, seed, max_exact_nodes)
+    phi_star, ell_star, _, _ = _estimate_critical_with_gap(graph, seed, max_exact_nodes)
     return phi_star, ell_star
 
 
@@ -319,23 +331,22 @@ def _estimate_critical_with_gap(
     seed: int,
     max_exact_nodes: int,
     random_samples: int = 32,
-) -> tuple[float, int, Optional[float]]:
-    """``(φ*, ℓ*, λ2 of G_{ℓ*})`` — the λ2 feeds ``EstimatedProfile``."""
+) -> tuple[float, int, Optional[float], bool]:
+    """``(φ*, ℓ*, λ2 of G_{ℓ*}, converged)`` — the solve feeds ``EstimatedProfile``."""
     if graph.num_nodes <= max_exact_nodes:
         phi_star, ell_star = critical_weighted_conductance(graph, max_exact_nodes)
         snapshot = graph.indexed()
-        _, lambda2 = _fiedler_sweep_value(snapshot, ell_star, None, seed, "phi-ell")
-        return phi_star, ell_star, lambda2
+        _, lambda2, converged = _fiedler_sweep_value(snapshot, ell_star, None, seed, "phi-ell")
+        return phi_star, ell_star, lambda2, converged
     snapshot = graph.indexed()
     best_ratio = -math.inf
-    best_phi, best_ell = 0.0, 1
-    best_lambda2: Optional[float] = None
+    best = (0.0, 1, None, True)
     for ell in _candidate_latencies(snapshot):
-        phi_ell, lambda2 = _estimate_phi_ell(snapshot, ell, seed, random_samples)
+        phi_ell, lambda2, converged = _estimate_phi_ell(snapshot, ell, seed, random_samples)
         ratio = phi_ell / ell
         if ratio > best_ratio:
-            best_ratio, best_phi, best_ell, best_lambda2 = ratio, phi_ell, ell, lambda2
-    return best_phi, best_ell, best_lambda2
+            best_ratio, best = ratio, (phi_ell, ell, lambda2, converged)
+    return best
 
 
 def estimate_average_conductance(
@@ -354,7 +365,7 @@ def estimate_average_conductance(
     # subgraph: slow cuts tend to align with some threshold's spectral
     # structure, while the numerator always uses the per-class 1/2^i weights.
     for ell in _candidate_latencies(snapshot):
-        sweep_value, _ = _fiedler_sweep_value(snapshot, ell, class_weights, seed, "phi-avg")
+        sweep_value, _, _ = _fiedler_sweep_value(snapshot, ell, class_weights, seed, "phi-avg")
         best = min(best, sweep_value)
     best = min(best, _random_cut_best(snapshot, class_weights, random_samples, seed, "phi-avg"))
     return best
@@ -374,7 +385,9 @@ def estimate_profile(
     if graph.num_nodes < 2 or graph.num_edges == 0:
         raise GraphError("conductance is undefined for graphs with < 2 nodes or no edges")
     exact = graph.num_nodes <= max_exact_nodes
-    phi_star, ell_star, lambda2 = _estimate_critical_with_gap(graph, seed, max_exact_nodes)
+    phi_star, ell_star, lambda2, converged = _estimate_critical_with_gap(
+        graph, seed, max_exact_nodes
+    )
     phi_avg = estimate_average_conductance(graph, seed=seed, max_exact_nodes=max_exact_nodes)
     return EstimatedProfile(
         critical_phi=phi_star,
@@ -382,4 +395,5 @@ def estimate_profile(
         phi_avg=phi_avg,
         exact=exact,
         lambda2=lambda2,
+        converged=converged,
     )

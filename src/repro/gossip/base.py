@@ -232,8 +232,8 @@ class ReplicatedResult:
         :meth:`repro.analysis.experiment.TrialOutcome.aggregate`, so a
         replicated run drops into result tables exactly like a sweep case.
         """
-        # Imported here: repro.analysis pulls in plotting/reporting, which
-        # the gossip layer should not load at import time.
+        # Imported here: repro.analysis pulls in the sweep orchestrator and
+        # calibration, which the gossip layer should not load at import time.
         from ..analysis.stats import summarize
 
         aggregated: dict[str, float] = {}

@@ -4,7 +4,7 @@ Architecture
 ------------
 Simulation runs behind one abstract surface,
 :class:`~repro.simulation.protocol.EngineProtocol` (seeding, stepping,
-running, completion queries), with two registered backends:
+running, completion queries), with four registered backends:
 
 * ``"reference"`` — :class:`~repro.simulation.engine.GossipEngine`: the
   original per-node-callback engine over :class:`KnowledgeState` rumor
@@ -26,16 +26,17 @@ running, completion queries), with two registered backends:
   :class:`~repro.simulation.protocol.BatchPolicySpec`; replication ``r``
   is bit-for-bit the sequential numpy-mode fast-backend run with the same
   seed label.
-* ``"edge"`` — :class:`~repro.simulation.edge_engine.EdgeEngine`:
-  vectorizes a *single* run across the whole edge set (the transpose of
-  the batch backend's replication axis) — one numpy draw vector, one
-  latency-argsort, and one bitwise scatter per round over a flat
-  ``(n, words)`` uint64 knowledge bitplane.  Runs the same declarative
+* ``"edge"`` — :class:`~repro.simulation.edge_engine.EdgeEngine`: the
+  batch engine's numpy kernel fixed at ``reps=1`` behind the single-run
+  surface, so one large run is vectorized across the whole edge set (one
+  numpy draw vector, one latency-argsort and one bitwise scatter per
+  round).  Runs the same declarative
   :class:`~repro.simulation.protocol.RoundPolicySpec` surface as the fast
   backend and is bit-for-bit the numpy-mode fast run seeded
-  ``derive_seed(seed, "rep", 0)``; ``"auto"`` prefers it from
+  ``derive_seed(seed, "rep", 0)`` — batch column 0 by construction;
+  ``"auto"`` prefers it from
   :data:`~repro.simulation.protocol.EDGE_AUTO_NODE_THRESHOLD` nodes up.
-  Its up-front memory guard raises
+  Like the batch backend, its up-front memory guard raises
   :class:`~repro.simulation.protocol.SimulationError` instead of OOM-ing.
 
 The capability contract
@@ -79,8 +80,10 @@ Modules
   policy specs, and the backend registry,
 * :mod:`~repro.simulation.engine` — the reference round/exchange engine,
 * :mod:`~repro.simulation.fast_engine` — the bitset fast backend,
-* :mod:`~repro.simulation.edge_engine` — the edge-vectorized single-run
-  backend,
+* :mod:`~repro.simulation.batch_engine` — the numpy round kernel and the
+  batch-replication backend,
+* :mod:`~repro.simulation.edge_engine` — the single-run backend over that
+  kernel,
 * :mod:`~repro.simulation.dynamics` — topology-dynamics events, schedules,
   and the shared applier,
 * :mod:`~repro.simulation.messages` — rumors and per-node knowledge,

@@ -1,10 +1,11 @@
-"""Vectorized batch-replication backend: R seeded runs as one numpy computation.
+"""The numpy round kernel: R seeded runs of one scenario as one computation.
 
 The paper's claims are about *distributions* of spreading times, so every
 experiment runs many seeded replications of the same scenario.  Running them
 one :class:`~repro.simulation.fast_engine.FastEngine` at a time leaves the
 per-round Python loop as the bottleneck; :class:`BatchEngine` removes it by
-simulating all ``reps`` replications in lockstep:
+simulating all ``reps`` replications in lockstep, each round as whole-array
+operations over the CSR edge set:
 
 * **knowledge** is an ``(n_nodes, reps, words)`` uint64 bitplane tensor —
   bit ``b`` of a node's words is rumor ``b``, exactly the fast backend's
@@ -39,7 +40,27 @@ the sequential run that would have stopped there.
 The engine registers itself as the ``"batch"`` backend and is driven
 through :meth:`run_batch` (the
 :class:`~repro.simulation.protocol.BatchCapability` surface) with a
-:class:`~repro.simulation.protocol.BatchPolicySpec`.
+:class:`~repro.simulation.protocol.BatchPolicySpec`.  The ``"edge"``
+backend, :class:`~repro.simulation.edge_engine.EdgeEngine`, is this same
+kernel fixed at ``reps=1`` behind the single-run
+:class:`~repro.simulation.protocol.EngineProtocol` surface, so an edge run
+is batch column 0 by construction.
+
+Per-edge activation counters are kept while the CSR snapshot has at most
+:data:`EDGE_ACTIVATION_SLOT_LIMIT` slots, decided once at construction;
+above it the label-keyed counters would dwarf the vectorized round loop, so
+runs that large report empty ``edge_activations``.
+
+Memory guard
+------------
+The engine estimates its array footprint before allocating (see
+:meth:`BatchEngine._estimate_bytes`) and raises
+:class:`~repro.simulation.protocol.SimulationError` with the estimate when
+it exceeds the byte budget — :data:`DEFAULT_MEMORY_LIMIT` unless the
+engine's ``_memory_limit`` is set — at construction and whenever seeding a
+rumor adds a knowledge word, instead of thrashing into the OOM killer.
+All-to-all seeding is the usual culprit: its knowledge plane alone is
+``n^2 * reps / 8`` bytes.
 """
 
 from __future__ import annotations
@@ -57,15 +78,23 @@ from .dynamics import (
     TopologyDynamics,
     apply_events,
     drop_pending,
+    resync_diff,
     sorted_contains,
 )
-from .edge_engine import DEFAULT_MEMORY_LIMIT, check_footprint
 from .messages import Rumor
 from .metrics import SimulationMetrics
-from .protocol import BatchPolicySpec, register_engine
+from .protocol import BatchPolicySpec, SimulationError, register_engine
 from .rng import uniform_slot_offsets
 
-__all__ = ["BatchEngine"]
+__all__ = ["BatchEngine", "DEFAULT_MEMORY_LIMIT", "EDGE_ACTIVATION_SLOT_LIMIT"]
+
+#: Above this many CSR slots, per-edge activation counters are not kept:
+#: materializing a Counter keyed by label-pair reprs would dwarf the
+#: vectorized round loop at million-node scale.
+EDGE_ACTIVATION_SLOT_LIMIT = 2_000_000
+
+#: Default memory budget for the engine's arrays (bytes).
+DEFAULT_MEMORY_LIMIT = 4 * 1024**3
 
 
 def _activation_buffer_size(n: int, reps: int) -> int:
@@ -93,12 +122,17 @@ class BatchEngine:
         applied at the start of every round — one shared schedule for all
         replications, matching the scenario-seed derivation discipline.
 
-    Like the edge backend, the engine estimates its array footprint before
-    allocating and raises :class:`~repro.simulation.protocol.SimulationError`
-    with the estimate when it exceeds the edge backend's
-    ``DEFAULT_MEMORY_LIMIT`` — at construction and whenever seeding a rumor
-    adds a knowledge word.
+    The engine refuses, with :class:`~repro.simulation.protocol.SimulationError`,
+    a run whose estimated footprint exceeds its byte budget (see the
+    module's memory guard).
     """
+
+    #: The backend named in memory-guard refusals, and what they suggest.
+    _backend = "batch"
+    _memory_remedy = "lower n or reps, or seed fewer rumors (all-to-all needs n^2*reps/8 bytes)"
+    #: Byte budget for the engine's arrays; ``None`` means the module's
+    #: :data:`DEFAULT_MEMORY_LIMIT`, read at check time.
+    _memory_limit: Optional[int] = None
 
     def __init__(
         self,
@@ -118,6 +152,7 @@ class BatchEngine:
         self.round = 0
         self._idx = graph.indexed()
         self._graph_version = graph.version
+        self._track_activations = self._idx.indices.size <= EDGE_ACTIVATION_SLOT_LIMIT
         self._load_csr()
         n = self._idx.num_nodes
         self._words = 1
@@ -151,14 +186,15 @@ class BatchEngine:
         self._max_payload = np.zeros(reps, dtype=np.int64)
         self._lost = np.zeros(reps, dtype=np.int64)
         self._suppressed = np.zeros(reps, dtype=np.int64)
-        # Edge-activation accounting: each round's (edge, rep) linear keys
-        # are appended to a fixed int32 ring buffer and folded into the
-        # (edge, rep) count matrix by one bincount per buffer-full (a
-        # scatter-add every round would touch the whole matrix every round).
-        self._edge_counts = np.zeros((self._idx.num_edges, reps), dtype=np.int64)
-        buffer_size = _activation_buffer_size(n, reps)
-        self._act_slots = np.empty(buffer_size, dtype=np.int32)
-        self._act_reps = np.empty(buffer_size, dtype=np.int32)
+        # Edge-activation accounting (when tracked): each round's (edge, rep)
+        # linear keys are appended to a fixed int32 ring buffer and folded
+        # into the (edge, rep) count matrix by one bincount per buffer-full
+        # (a scatter-add every round would touch the whole matrix every round).
+        if self._track_activations:
+            self._edge_counts = np.zeros((self._idx.num_edges, reps), dtype=np.int64)
+            buffer_size = _activation_buffer_size(n, reps)
+            self._act_slots = np.empty(buffer_size, dtype=np.int32)
+            self._act_reps = np.empty(buffer_size, dtype=np.int32)
         self._act_fill = 0
         # Counts of edges retired by topology resyncs, keyed by index pair.
         self._ledger = ActivationLedger(reps)
@@ -198,7 +234,7 @@ class BatchEngine:
         self._popcounts: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
-    # CSR snapshots
+    # CSR snapshots and the memory guard
     # ------------------------------------------------------------------
     def _load_csr(self) -> None:
         """Materialize the current IndexedGraph snapshot as numpy arrays."""
@@ -208,7 +244,8 @@ class BatchEngine:
         self._latencies = np.asarray(idx.latencies, dtype=np.int64)
         self._degrees = np.diff(self._indptr)
         self._starts = self._indptr[:-1]
-        self._slot_edge_ids = np.asarray(idx.slot_edge_id, dtype=np.int64)
+        if self._track_activations:
+            self._slot_edge_ids = np.asarray(idx.slot_edge_id, dtype=np.int64)
         self._set_latency_sortkey()
 
     def _set_latency_sortkey(self) -> None:
@@ -226,18 +263,20 @@ class BatchEngine:
         """Estimate the engine's array footprint at ``words`` knowledge words.
 
         Five terms: the ``(n, reps, words)`` knowledge plane, the
-        ``(E, reps)`` edge-count matrix, the two int32 activation ring
-        buffers, the ``(reps, n)`` acting and draw buffers, and the
-        worst-case in-flight pipeline — every (node, replication) keeps one
-        exchange per round alive for up to the maximum edge latency, each
-        carrying three index columns and two payload snapshots.
+        ``(E, reps)`` edge-count matrix and the two int32 activation ring
+        buffers (zero when activations are not tracked), the ``(reps, n)``
+        acting and draw buffers, and the worst-case in-flight pipeline —
+        every (node, replication) keeps one exchange per round alive for up
+        to the maximum edge latency, each carrying three index columns and
+        two payload snapshots.
         """
         n, reps = self._idx.num_nodes, self.reps
         max_latency = int(self._latencies.max()) if self._latencies.size else 1
+        tracked = self._track_activations
         estimate = {
             "knowledge": n * reps * words * 8,
-            "edge-counts": self._idx.num_edges * reps * 8,
-            "activation-buffers": _activation_buffer_size(n, reps) * 8,
+            "edge-counts": self._idx.num_edges * reps * 8 if tracked else 0,
+            "activation-buffers": _activation_buffer_size(n, reps) * 8 if tracked else 0,
             "round-buffers": reps * n * 9,
             "pipeline": n * reps * max(1, max_latency) * (24 + 16 * words),
         }
@@ -245,13 +284,23 @@ class BatchEngine:
         return estimate
 
     def _check_memory(self, words: int, action: str) -> None:
-        """Raise :class:`SimulationError` when the estimate exceeds the limit."""
-        check_footprint(
-            self._estimate_bytes(words),
-            DEFAULT_MEMORY_LIMIT,
-            f"batch backend refuses {action}",
-            f"n={self._idx.num_nodes}, reps={self.reps}, {words * 64} rumor bits",
-            "lower n or reps, or seed fewer rumors (all-to-all needs n^2*reps/8 bytes)",
+        """Raise :class:`SimulationError` when the estimate exceeds the limit.
+
+        The message names every term of the estimate in GiB, so a refused
+        run says which array would not fit.
+        """
+        estimate = self._estimate_bytes(words)
+        limit = DEFAULT_MEMORY_LIMIT if self._memory_limit is None else self._memory_limit
+        if estimate["total"] <= limit:
+            return
+        detail = ", ".join(
+            f"{key}={value / 1024**3:.2f} GiB" for key, value in estimate.items() if key != "total"
+        )
+        raise SimulationError(
+            f"{self._backend} backend refuses {action}: estimated footprint "
+            f"{estimate['total'] / 1024**3:.2f} GiB ({detail}) for n={self._idx.num_nodes}, "
+            f"reps={self.reps}, {words * 64} rumor bits exceeds the {limit / 1024**3:.2f} GiB "
+            f"memory limit; {self._memory_remedy}"
         )
 
     @property
@@ -339,8 +388,11 @@ class BatchEngine:
             return np.zeros(self.reps, dtype=bool)
         survivors = np.nonzero(~self._crashed_mask)[0]
         mask = np.zeros(self._words, dtype=np.uint64)
-        for origin in survivors:
-            mask[origin >> 6] |= np.uint64(1 << (int(origin) & 63))
+        np.bitwise_or.at(
+            mask,
+            survivors >> 6,
+            np.uint64(1) << (survivors & np.int64(63)).astype(np.uint64),
+        )
         satisfied = ((self._know & mask) == mask).all(axis=2)
         return satisfied[survivors].all(axis=0)
 
@@ -468,29 +520,18 @@ class BatchEngine:
         """
         old = self._idx
         new = self.graph.indexed()
-        if new.labels[: old.num_nodes] != old.labels:
-            raise GraphError(
-                "nodes were removed or reordered mid-run; engines only support edge "
-                "mutations and appended nodes (use a 'node-leave' dynamics event to "
-                "churn a node out without deleting it)"
-            )
-        severed_pairs: set[tuple[int, int]] = set()
-        for key in severed:
-            u, v = tuple(key)
-            iu, iv = old.index.get(u), old.index.get(v)
-            if iu is not None and iv is not None:
-                severed_pairs.add((iu, iv))
-                severed_pairs.add((iv, iu))
-        if np.array_equal(new.indptr, old.indptr) and np.array_equal(new.indices, old.indices):
+        structural, removed = resync_diff(old, new, severed, events_only)
+        if not structural:
             # Latency-only change (e.g. drift): slots line up one-to-one.
-            if severed_pairs:
-                self._drop_pending_over(severed_pairs)
+            if removed:
+                self._drop_pending_over(removed)
             self._idx = new
             self._latencies = np.asarray(new.latencies, dtype=np.int64)
             self._set_latency_sortkey()
             self._graph_version = self.graph.version
             return
-        self._fold_activations(old)
+        if self._track_activations:
+            self._fold_activations(old)
         added = new.num_nodes - old.num_nodes
         if added:
             def _pad(array: np.ndarray, axis: int) -> np.ndarray:
@@ -509,15 +550,12 @@ class BatchEngine:
                 )
                 self._sir_recovered = _pad(self._sir_recovered, 0)
         self._acting_cache = None
-        if events_only:
-            removed = severed_pairs
-        else:
-            removed = (old.directed_pairs() - new.directed_pairs()) | severed_pairs
         if removed:
             self._drop_pending_over(removed)
         self._idx = new
         self._load_csr()
-        self._edge_counts = np.zeros((new.num_edges, self.reps), dtype=np.int64)
+        if self._track_activations:
+            self._edge_counts = np.zeros((new.num_edges, self.reps), dtype=np.int64)
         self._mask_epoch += 1
         self._graph_version = self.graph.version
 
@@ -537,7 +575,7 @@ class BatchEngine:
             self._lost += np.bincount(lost, minlength=self.reps)
 
     # ------------------------------------------------------------------
-    # Edge-activation accounting
+    # Edge-activation accounting (only while activations are tracked)
     # ------------------------------------------------------------------
     def _record_activations(self, slots_f: np.ndarray, reps_f: np.ndarray) -> None:
         """Park one round's (slot, rep) activation pairs in the ring buffers.
@@ -582,6 +620,20 @@ class BatchEngine:
         rows = np.flatnonzero(self._edge_counts.any(axis=1))
         if rows.size:
             self._ledger.fold(self._edge_pair_keys(idx)[rows], self._edge_counts[rows])
+
+    def _edge_activation_counters(self) -> list[Counter]:
+        """One label-keyed activation counter per replication.
+
+        Every edge of the live snapshot appears (even at zero), a retired
+        edge only where its count is nonzero; the counters are empty when
+        activations are not tracked.
+        """
+        if not self._track_activations:
+            return [Counter() for _ in range(self.reps)]
+        self._flush_activations()
+        return self._ledger.counters(
+            self._idx.labels, self._edge_pair_keys(self._idx), self._edge_counts
+        )
 
     # ------------------------------------------------------------------
     # Core stepping
@@ -816,11 +868,11 @@ class BatchEngine:
             draws = self._draw_buffer[:n_rows]
             if active_rows is None:
                 for rep, rng in enumerate(policy.rngs):
-                    draws[rep] = rng.random(n)
+                    rng.random(out=draws[rep])
             else:
                 rngs = policy.rngs
                 for row, rep in enumerate(active_rows.tolist()):
-                    draws[row] = rngs[rep].random(n)
+                    rngs[rep].random(out=draws[row])
             offsets = uniform_slot_offsets(draws, degrees[None, :])
         else:
             cursors = self._cursors if active_rows is None else self._cursors[active_rows]
@@ -845,7 +897,8 @@ class BatchEngine:
                 self._outstanding += acting
             else:
                 self._outstanding[active_rows] += acting
-        self._record_activations(slots_f, reps_f)
+        if self._track_activations:
+            self._record_activations(slots_f, reps_f)
         if cacheable:
             if self._acting_counts is None or self._acting_counts[0] != cache_key:
                 self._acting_counts = (cache_key, acting.sum(axis=1))
@@ -917,6 +970,30 @@ class BatchEngine:
             raise TypeError(
                 "BatchEngine runs BatchPolicySpec policies; see repro.simulation.protocol"
             )
+        self._start(policy)
+        if self._curve_rumor is not None:
+            self._curve.append(self.informed_counts(self._curve_rumor))
+        self._finish(np.asarray(stop_mask(self), dtype=bool))
+        while self._active.any():
+            if self.round >= max_rounds:
+                raise RuntimeError(
+                    f"simulation did not reach the stop condition within {max_rounds} rounds"
+                )
+            self._step(policy)
+            self._finish(np.asarray(stop_mask(self), dtype=bool))
+            if self._curve_rumor is not None:
+                self._curve.append(self.informed_counts(self._curve_rumor))
+        counters = self._edge_activation_counters()
+        return [self._materialize_metrics(rep, counters[rep]) for rep in range(self.reps)]
+
+    def _start(self, policy: BatchPolicySpec) -> None:
+        """Check ``policy`` against the engine and fix the delivery layout.
+
+        Run before the first round of a run (and, on the edge backend,
+        before every step): the flattened due columns and boolean payloads
+        apply while the knowledge plane is one word wide (and, for the
+        payloads, carries a single rumor).
+        """
         if policy.select == "uniform-random" and len(policy.rngs) != self.reps:
             raise ValueError(
                 f"policy carries {len(policy.rngs)} replication rngs but the engine "
@@ -931,23 +1008,6 @@ class BatchEngine:
             self._sir_ensure()
         self._lin_entries = self._lin_due and self._words == 1
         self._bool_payloads = self._lin_entries and len(self._rumors) == 1
-        if self._curve_rumor is not None:
-            self._curve.append(self.informed_counts(self._curve_rumor))
-        self._finish(np.asarray(stop_mask(self), dtype=bool))
-        while self._active.any():
-            if self.round >= max_rounds:
-                raise RuntimeError(
-                    f"simulation did not reach the stop condition within {max_rounds} rounds"
-                )
-            self._step(policy)
-            self._finish(np.asarray(stop_mask(self), dtype=bool))
-            if self._curve_rumor is not None:
-                self._curve.append(self.informed_counts(self._curve_rumor))
-        self._flush_activations()
-        counters = self._ledger.counters(
-            self._idx.labels, self._edge_pair_keys(self._idx), self._edge_counts
-        )
-        return [self._materialize_metrics(rep, counters[rep]) for rep in range(self.reps)]
 
     def _finish(self, mask: np.ndarray) -> None:
         """Freeze replications whose stop predicate turned true this round."""
@@ -984,6 +1044,14 @@ class BatchEngine:
         metrics.rounds = completion if completion >= 0 else self.round
         if completion >= 0:
             metrics.completion_time = float(completion)
+        self._copy_counters(rep, metrics)
+        # The final snapshot's zero-count edges are kept: Counter equality
+        # (3.10+) treats them as absent.
+        metrics.edge_activations = edge_activations
+        return metrics
+
+    def _copy_counters(self, rep: int, metrics: SimulationMetrics) -> None:
+        """Write replication ``rep``'s exchange counters into ``metrics``."""
         metrics.activations = int(self._activations[rep])
         metrics.messages = int(self._messages[rep])
         metrics.rumor_deliveries = int(self._deliveries[rep])
@@ -991,7 +1059,3 @@ class BatchEngine:
         metrics.max_payload_size = int(self._max_payload[rep])
         metrics.lost_exchanges = int(self._lost[rep])
         metrics.suppressed_exchanges = int(self._suppressed[rep])
-        # The final snapshot's zero-count edges are kept: Counter equality
-        # (3.10+) treats them as absent.
-        metrics.edge_activations = edge_activations
-        return metrics

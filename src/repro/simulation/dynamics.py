@@ -10,7 +10,7 @@ in :mod:`repro.graphs.dynamics`; this module owns the event vocabulary,
 the schedule containers, and the single shared applier, so that the
 reference and fast backends interpret a schedule identically, plus the
 pieces the CSR backends share to follow a schedule: the fault mirror, the
-activation ledger and the in-flight drop.
+activation ledger, the resync diff and the in-flight drop.
 
 Semantics contract (honoured bit-for-bit by both engines)
 ---------------------------------------------------------
@@ -67,6 +67,7 @@ from typing import TYPE_CHECKING, Any, Optional, Protocol, runtime_checkable
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    from ..graphs.indexed import IndexedGraph
     from ..graphs.weighted_graph import NodeId, WeightedGraph
 
 __all__ = [
@@ -76,6 +77,7 @@ __all__ = [
     "FaultMirror",
     "FaultState",
     "drop_pending",
+    "resync_diff",
     "sorted_contains",
     "TopologyEvent",
     "TopologyDynamics",
@@ -368,6 +370,44 @@ def drop_pending(
     if not dropped:
         return None
     return tuple(np.concatenate(parts) for parts in zip(*dropped))
+
+
+def resync_diff(
+    old: IndexedGraph, new: IndexedGraph, severed: Iterable, events_only: bool
+) -> tuple[bool, set[tuple[int, int]]]:
+    """What a CSR engine's topology resync must change, from two snapshots.
+
+    ``old`` and ``new`` are the engine's retiring and fresh snapshots and
+    ``severed`` the frozenset label pairs the round's events removed.  Raises
+    :class:`~repro.graphs.weighted_graph.GraphError` unless ``new`` keeps
+    ``old``'s node labels in order (the universe only grows).  Returns
+    ``(structural, removed)``: whether the edge structure changed (false
+    for a latency-only change, whose slots line up one-to-one), and the
+    directed index pairs whose in-flight exchanges must be dropped — the
+    severed pairs, plus, after a structural change that the events alone
+    do not describe (``events_only`` false), every pair ``old`` has and
+    ``new`` lacks.
+    """
+    if new.labels[: old.num_nodes] != old.labels:
+        from ..graphs.weighted_graph import GraphError
+
+        raise GraphError(
+            "nodes were removed or reordered mid-run; engines only support edge "
+            "mutations and appended nodes (use a 'node-leave' dynamics event to "
+            "churn a node out without deleting it)"
+        )
+    removed: set[tuple[int, int]] = set()
+    for key in severed:
+        u, v = tuple(key)
+        iu, iv = old.index.get(u), old.index.get(v)
+        if iu is not None and iv is not None:
+            removed.add((iu, iv))
+            removed.add((iv, iu))
+    if np.array_equal(new.indptr, old.indptr) and np.array_equal(new.indices, old.indices):
+        return False, removed
+    if not events_only:
+        removed |= old.directed_pairs() - new.directed_pairs()
+    return True, removed
 
 
 def apply_event(

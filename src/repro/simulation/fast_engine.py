@@ -31,10 +31,8 @@ from collections import Counter
 from collections.abc import Callable
 from typing import Any, Optional
 
-import numpy as np
-
 from ..graphs.weighted_graph import GraphError, NodeId, WeightedGraph
-from .dynamics import FaultMirror, TopologyDynamics, apply_events
+from .dynamics import FaultMirror, TopologyDynamics, apply_events, resync_diff
 from .messages import Rumor
 from .metrics import SimulationMetrics
 from .protocol import RoundPolicySpec, register_engine
@@ -441,26 +439,14 @@ class FastEngine:
         """
         old = self._idx
         new = self.graph.indexed()
-        if new.labels[: old.num_nodes] != old.labels:
-            raise GraphError(
-                "nodes were removed or reordered mid-run; engines only support edge "
-                "mutations and appended nodes (use a 'node-leave' dynamics event to "
-                "churn a node out without deleting it)"
-            )
-        severed_pairs: set[tuple[int, int]] = set()
-        for key in severed:
-            u, v = tuple(key)
-            iu, iv = old.index.get(u), old.index.get(v)
-            if iu is not None and iv is not None:
-                severed_pairs.add((iu, iv))
-                severed_pairs.add((iv, iu))
-        if np.array_equal(new.indptr, old.indptr) and np.array_equal(new.indices, old.indices):
+        structural, removed = resync_diff(old, new, severed, events_only)
+        if not structural:
             # Identical edge structure (e.g. drift re-emitting set-latency
             # every round): slots line up one-to-one, so activation counters
             # and neighbour masks stay valid — only severed-and-restored
             # edges can have lost their in-flight exchanges.
-            if severed_pairs:
-                self._drop_pending_over(severed_pairs)
+            if removed:
+                self._drop_pending_over(removed)
             self._idx = new
             self._set_csr_lists(new)
             self._graph_version = self.graph.version
@@ -478,10 +464,6 @@ class FastEngine:
             if self._sir_infected_at is not None:
                 self._sir_infected_at.extend([-1] * added)
                 self._sir_recovered.extend([False] * added)
-        if events_only:
-            removed = severed_pairs
-        else:
-            removed = (old.directed_pairs() - new.directed_pairs()) | severed_pairs
         if removed:
             self._drop_pending_over(removed)
         self._idx = new

@@ -21,15 +21,15 @@ The simulation layer exposes one abstract surface — :class:`EngineProtocol`
   (the :class:`BatchCapability` surface) instead of ``run``; replication
   ``r`` reproduces, bit for bit, the sequential numpy-mode ``FastEngine``
   run whose policy rng is seeded ``derive_seed(seed, "rep", r)``.
-* ``"edge"`` — :class:`~repro.simulation.edge_engine.EdgeEngine`, which
-  vectorizes a *single* run across the whole edge set (the complement of
-  the batch backend's across-replications axis): one numpy draw vector and
-  one latency-argsort per round, knowledge as a flat ``(n, words)`` uint64
-  bitplane.  It runs the same declarative :class:`RoundPolicySpec` surface
-  as the fast backend but requires a numpy Generator rng for uniform
-  selection, and reproduces, bit for bit, the numpy-mode fast run whose
-  rng is seeded ``derive_seed(seed, "rep", 0)`` — i.e. replication 0 of
-  the batched form.  Built for large-n single trajectories (10^6-node
+* ``"edge"`` — :class:`~repro.simulation.edge_engine.EdgeEngine`, the
+  batch backend's numpy kernel fixed at one replication, so a *single*
+  run is vectorized across the whole edge set: one numpy draw vector and
+  one latency-argsort per round.  It runs the same declarative
+  :class:`RoundPolicySpec` surface as the fast backend but requires a
+  numpy Generator rng for uniform selection, and reproduces, bit for bit,
+  the numpy-mode fast run whose rng is seeded
+  ``derive_seed(seed, "rep", 0)`` — i.e. replication 0 of the batched
+  form, by construction.  Built for large-n single trajectories (10^6-node
   runs in seconds); ``"auto"`` prefers it from
   :data:`EDGE_AUTO_NODE_THRESHOLD` nodes upward.
 
@@ -102,9 +102,10 @@ class EngineSelectionError(ValueError):
 class SimulationError(RuntimeError):
     """Raised when a backend refuses a run it cannot execute safely.
 
-    The guard-rail error for resource limits — most prominently the edge
-    backend's up-front memory estimate, which raises this (with the
-    estimate in the message) instead of letting an oversized request OOM.
+    The guard-rail error for resource limits — most prominently the numpy
+    kernel's up-front memory estimate (batch and edge backends), which
+    raises this (with the estimate in the message) instead of letting an
+    oversized request OOM.
     """
 
 

@@ -31,8 +31,9 @@ from repro.simulation.golden import (
 )
 
 FIXTURE_DIR = os.path.dirname(os.path.abspath(__file__))
-#: The graph-realization pins live beside the trace fixtures but are not one.
-GRAPH_DIGEST_FILE = "graph_digests.json"
+#: The graph-realization and stored-result pins live beside the trace
+#: fixtures but are not ones.
+PIN_FILES = {"graph_digests.json", "result_digests.json"}
 CASES = golden_cases()
 DYNAMIC_CASES = golden_dynamic_cases()
 FAULT_CASES = golden_fault_cases()
@@ -51,7 +52,7 @@ def test_every_golden_case_has_a_committed_fixture():
     committed = {
         name
         for name in os.listdir(FIXTURE_DIR)
-        if name.endswith(".json") and name != GRAPH_DIGEST_FILE
+        if name.endswith(".json") and name not in PIN_FILES
     }
     expected = {fixture_filename(algorithm, topology) for algorithm, topology in CASES}
     expected |= {

@@ -1,4 +1,4 @@
-"""Unit tests for the analysis harness (stats, records, tables, plotting, experiment)."""
+"""Unit tests for the analysis harness (stats, records, tables, experiment)."""
 
 from __future__ import annotations
 
@@ -11,8 +11,6 @@ from repro.analysis import (
     Experiment,
     TrialOutcome,
     ResultTable,
-    ascii_scatter,
-    ascii_series,
     format_value,
     geometric_mean,
     linear_slope,
@@ -123,28 +121,6 @@ class TestRecordsAndTables:
         text = render_comparison("cmp", ["a", "b"], [10, 20], [5, 10])
         assert "ratio" in text
         assert "2" in text
-
-
-class TestPlotting:
-    def test_ascii_scatter_dimensions(self):
-        plot = ascii_scatter([1, 2, 3], [1, 4, 9], width=20, height=5, title="squares")
-        lines = plot.splitlines()
-        assert lines[0] == "squares"
-        assert len(lines) == 1 + 1 + 5 + 1 + 1
-        assert any("*" in line for line in lines)
-
-    def test_ascii_scatter_validation(self):
-        with pytest.raises(ValueError):
-            ascii_scatter([1], [1, 2])
-
-    def test_ascii_series(self):
-        chart = ascii_series(["a", "b"], [1.0, 2.0], width=10, title="bars")
-        assert "a |" in chart
-        assert "#" in chart
-
-    def test_ascii_series_validation(self):
-        with pytest.raises(ValueError):
-            ascii_series([], [])
 
 
 class TestExperiment:

@@ -137,6 +137,36 @@ class TestSpectralRewiring:
         # lambda2/2 lower-bounds the true critical conductance (Cheeger).
         assert profile.lambda2 / 2 <= profile.critical_phi + 1e-9
 
+    def test_unconverged_critical_solve_certifies_only_the_upper_end(self, monkeypatch):
+        # Above the dense threshold the critical solve is iterative; when it
+        # stops unconverged, its Rayleigh quotient only bounds lambda2 from
+        # above, so the profile must not certify lambda2/2 as a lower bound.
+        import dataclasses
+        import math
+
+        from repro.core import estimation
+        from repro.core.spectral import DENSE_EIGH_MAX_NODES
+        from repro.graphs import constant_latency, erdos_renyi_csr
+
+        solve = estimation.fiedler_pair
+
+        def unconverged(*args, **kwargs):
+            return dataclasses.replace(solve(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(estimation, "fiedler_pair", unconverged)
+        n = DENSE_EIGH_MAX_NODES + 88
+        graph = erdos_renyi_csr(n, 10 / n, constant_latency(1), seed=2)
+        profile = estimate_profile(graph, seed=0)
+        assert not profile.exact and not profile.converged
+        assert profile.lambda2 > 0
+        assert profile.cheeger_interval() == (0.0, math.sqrt(2 * profile.lambda2))
+
+    def test_converged_profile_keeps_the_cheeger_lower_end(self):
+        graph = weighted_erdos_renyi(40, 0.3, seed=3)
+        profile = estimate_profile(graph, seed=3)
+        assert profile.converged
+        assert profile.cheeger_interval()[0] == profile.lambda2 / 2
+
     def test_estimates_are_deterministic_per_seed(self):
         graph = weighted_erdos_renyi(48, 0.25, seed=9)
         first = estimate_profile(graph, seed=5)

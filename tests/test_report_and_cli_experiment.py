@@ -1,4 +1,4 @@
-"""Unit tests for the markdown report generator and the CLI experiment command."""
+"""Unit tests for the CLI experiment command."""
 
 from __future__ import annotations
 
@@ -6,40 +6,7 @@ import sys
 
 import pytest
 
-from repro.analysis import ResultTable, table_to_markdown, tables_to_markdown
 from repro.cli import main
-
-
-class TestMarkdownReport:
-    def test_single_table(self):
-        table = ResultTable(title="demo")
-        table.add_row(n=8, time=1.5)
-        table.add_row(n=16, time=3.25)
-        table.add_note("a note")
-        text = table_to_markdown(table)
-        assert "### demo" in text
-        assert "| n | time |" in text
-        assert "| 8 | 1.5 |" in text
-        assert "*a note*" in text
-
-    def test_empty_table(self):
-        text = table_to_markdown(ResultTable(title="empty"))
-        assert "_(no rows)_" in text
-
-    def test_document_with_multiple_tables(self):
-        a = ResultTable(title="first")
-        a.add_row(x=1)
-        b = ResultTable(title="second")
-        b.add_row(y=2)
-        document = tables_to_markdown([a, b], title="report")
-        assert document.startswith("# report")
-        assert "### first" in document and "### second" in document
-
-    def test_none_cells_render_blank(self):
-        table = ResultTable(title="holes")
-        table.add_row(a=1, b=None)
-        text = table_to_markdown(table)
-        assert "| 1 |" in text
 
 
 class TestCliExperimentCommand:

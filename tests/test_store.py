@@ -17,6 +17,7 @@ The store's contract has four load-bearing faces, each covered here:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -25,6 +26,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro import store as store_module
 from repro.gossip.base import DisseminationResult, Task
 from repro.scenario import (
     GraphSpec,
@@ -48,6 +50,7 @@ from repro.store import (
 )
 
 _SRC_DIR = os.path.normpath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+_GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 @pytest.fixture(autouse=True)
@@ -136,6 +139,39 @@ class TestDigests:
             )
             outputs.append(result.stdout)
         assert outputs[0] == outputs[1]
+
+
+#: Each store format tag, at its current value, is bound to the SHA-256 of
+#: the golden file that pins what it keys: seeded graph realizations for
+#: GRAPH_STORE_FORMAT, stored run results for RESULT_STORE_FORMAT.  A change
+#: that regenerates one of those files moves bytes that on-disk caches keyed
+#: by the old tag still serve, so it must bump the tag and record the new
+#: (tag value, file hash) pair here.
+FORMAT_PINS = {
+    ("GRAPH_STORE_FORMAT", 1): (
+        "graph_digests.json",
+        "a1f5cff3e7f941a8147897db2c7905d7b11afaf1a7c8c3ee5f8492b8edd20f34",
+    ),
+    ("RESULT_STORE_FORMAT", 1): (
+        "result_digests.json",
+        "9d0578cac8673bf1fad5b8c674db42fb4c465b8610b5692d46bc4ca36a923f26",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "tag,golden",
+    [("GRAPH_STORE_FORMAT", "graph_digests.json"), ("RESULT_STORE_FORMAT", "result_digests.json")],
+)
+def test_format_tag_is_bound_to_its_golden_pins(tag, golden):
+    value = getattr(store_module, tag)
+    path = os.path.join(_GOLDEN_DIR, golden)
+    with open(path, "rb") as handle:
+        digest = hashlib.sha256(handle.read()).hexdigest()
+    assert FORMAT_PINS.get((tag, value)) == (golden, digest), (
+        f"{golden} changed (sha256 {digest}) but {tag} is still {value}: bump {tag} "
+        "so caches written by the old code miss, then record the new pair in FORMAT_PINS"
+    )
 
 
 # ----------------------------------------------------------------------
