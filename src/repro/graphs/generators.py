@@ -6,6 +6,16 @@ latency models (uniform, bimodal fast/slow, heavy-tailed, distance-based).
 All generators are deterministic given a ``seed`` and return
 :class:`~repro.graphs.weighted_graph.WeightedGraph` instances whose node ids
 are ``0 .. n-1``.
+
+The random families build through one array pipeline.  A front half
+records an edge stream in ``add_edge`` order: the vectorized ``*_edge_stream``
+samplers from :data:`CSR_AUTO_THRESHOLD` nodes up, and below it the
+``*_replayed_stream`` functions, which make the same ``random.Random`` draws
+the dict-of-dicts builders always made.  :func:`_csr_from_edge_stream`
+assembles a stream into CSR arrays, and one back half
+(:func:`_latency_graph`) draws the latencies in ``edges()`` order and
+assembles again.  Dict graphs are built from those arrays
+(:meth:`WeightedGraph.from_indexed`), never edge by edge.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ import numpy as np
 
 from ..simulation.rng import REPLAY_BLOCK, MersenneReplay, derive_seed
 from .indexed import CSRGraph
-from .weighted_graph import GraphError, WeightedGraph
+from .weighted_graph import GraphError, NodeId, WeightedGraph
 
 __all__ = [
     "CSR_AUTO_THRESHOLD",
@@ -187,18 +197,46 @@ def assign_latencies(graph: WeightedGraph, model: LatencyModel, seed: int = 0) -
     Edges draw in ``graph.edges()`` order from ``random.Random(seed)``: all
     at once through the model's vectorized ``sample`` when it has one
     (:func:`_sampled_latencies`), one ``model(rng, u, v)`` call per edge
-    otherwise.  Both give the same latencies.
+    otherwise.  Both give the same latencies.  The copy's neighbour order
+    is the order ``add_edge`` calls in ``edges()`` order would give, and it
+    is built from arrays (:func:`_latency_graph`).
     """
+    return _latency_graph(graph, model, seed, csr=False)
+
+
+def _latency_graph(
+    graph: WeightedGraph, model: LatencyModel, seed: int, csr: Optional[bool]
+) -> WeightedGraph:
+    """The shared back half: ``graph``'s topology with latencies drawn from ``model``.
+
+    ``edges()`` emits each edge at whichever endpoint comes first in node
+    order, so on ``graph``'s snapshot its order is exactly the slots with
+    ``src < dst``, taken in CSR order.  Those slots become the edge stream,
+    edge ``e`` takes the ``e``-th latency of ``random.Random(seed)``, and
+    :func:`_csr_from_edge_stream` lays the stream out as ``add_edge`` calls
+    in that order would.  Models without ``sample`` are called once per
+    edge over ``graph.edges()``, because they read its canonical ``u, v``.
+    Latencies must be ints >= 1, as ``add_edge`` requires.  Returns the
+    :class:`CSRGraph` when ``csr`` is true, else a plain dict graph over
+    the same snapshot.
+    """
+    snapshot = graph.indexed()
+    sources = snapshot.slot_sources()
+    forward = sources < snapshot.indices
     rng = random.Random(seed)
-    result = WeightedGraph(graph.nodes())
-    latencies = _sampled_latencies(model, rng, graph.num_edges)
+    latencies = _sampled_latencies(model, rng, snapshot.num_edges)
     if latencies is None:
-        for edge in graph.edges():
-            result.add_edge(edge.u, edge.v, model(rng, edge.u, edge.v))
-        return result
-    for edge, latency in zip(graph.edges(), latencies.tolist()):
-        result.add_edge(edge.u, edge.v, latency)
-    return result
+        drawn = [model(rng, edge.u, edge.v) for edge in graph.edges()]
+        for latency in drawn:
+            if not isinstance(latency, int) or isinstance(latency, bool):
+                raise GraphError(f"latency must be an int, got {type(latency).__name__}")
+        latencies = np.asarray(drawn, dtype=np.int64)
+    if latencies.size and int(latencies.min()) < 1:
+        raise GraphError(f"latency must be >= 1, got {int(latencies.min())}")
+    result = _csr_from_edge_stream(
+        snapshot.num_nodes, sources[forward], snapshot.indices[forward], latencies, snapshot.labels
+    )
+    return result if csr else _dict_graph(result)
 
 
 # ----------------------------------------------------------------------
@@ -275,30 +313,41 @@ def erdos_renyi(n: int, p: float, seed: int = 0, ensure_connected: bool = True) 
 
     If ``ensure_connected`` is true, a Hamiltonian-path backbone over a random
     permutation is added so the graph is always connected (this changes the
-    distribution slightly but keeps expected degree ~``np``).
+    distribution slightly but keeps expected degree ~``np``).  Built from
+    :func:`_er_replayed_stream`.
+    """
+    return _dict_graph(_unit_csr(n, _er_replayed_stream(n, p, seed, ensure_connected)))
+
+
+def _er_replayed_stream(
+    n: int, p: float, seed: int, ensure_connected: bool = True
+) -> tuple["np.ndarray", "np.ndarray"]:
+    """:func:`erdos_renyi`'s edge stream, in ``add_edge`` order.
+
+    One ``rng.random() < p`` coin per pair in row-major order, replayed a
+    block at a time from ``random.Random(seed)``; the hits' pair codes are
+    therefore already sorted and decode to the coin edges in order.  The
+    backbone shuffles ``range(n)`` with the same rng and appends the path
+    pairs no coin produced.
     """
     if n < 1:
         raise GraphError("n must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise GraphError("p must be in [0, 1]")
     rng = random.Random(seed)
-    graph = WeightedGraph(range(n))
     total = n * (n - 1) // 2
-    # One rng.random() < p coin per pair in row-major order, replayed a
-    # block at a time; hits decode back to (u, v) and are added in order.
+    hits = [np.empty(0, dtype=np.int64)]
     with MersenneReplay(rng) as stream:
         for start in range(0, total, REPLAY_BLOCK):
             coins = stream.random(min(REPLAY_BLOCK, total - start))
-            us, vs = _decode_pair_codes(np.flatnonzero(coins < p) + start, n)
-            for u, v in zip(us.tolist(), vs.tolist()):
-                graph.add_edge(u, v, 1)
+            hits.append(np.flatnonzero(coins < p) + start)
+    codes = np.concatenate(hits)
+    u, v = _decode_pair_codes(codes, n)
     if ensure_connected and n > 1:
         order = list(range(n))
         rng.shuffle(order)
-        for a, b in zip(order, order[1:]):
-            if not graph.has_edge(a, b):
-                graph.add_edge(a, b, 1)
-    return graph
+        u, v = _with_backbone(u, v, codes, order, n)
+    return u, v
 
 
 def random_regular_expander(n: int, degree: int = 4, seed: int = 0, max_tries: int = 50) -> WeightedGraph:
@@ -424,7 +473,11 @@ def layered_ring(layers: int, layer_size: int, intra_latency: int = 1, inter_lat
 # Direct-to-CSR builders
 # ----------------------------------------------------------------------
 def _csr_from_edge_stream(
-    n: int, u: "np.ndarray", v: "np.ndarray", latencies: "np.ndarray"
+    n: int,
+    u: "np.ndarray",
+    v: "np.ndarray",
+    latencies: "np.ndarray",
+    labels: Optional[Sequence[NodeId]] = None,
 ) -> CSRGraph:
     """Assemble a :class:`CSRGraph` from an undirected edge stream.
 
@@ -434,7 +487,8 @@ def _csr_from_edge_stream(
     order — precisely the neighbour order ``WeightedGraph.add_edge`` calls
     in the same sequence would produce.  The stream must be free of
     duplicates and self-loops (the samplers guarantee this by
-    construction).
+    construction).  ``u`` and ``v`` are node indices into ``labels``
+    (default ``range(n)``).
     """
     m = len(u)
     slots = 2 * m
@@ -462,7 +516,46 @@ def _csr_from_edge_stream(
     counts = np.bincount(src, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    return CSRGraph(range(n), indptr, dst[order], lat[order])
+    return CSRGraph(range(n) if labels is None else labels, indptr, dst[order], lat[order])
+
+
+def _unit_csr(n: int, edges: tuple["np.ndarray", "np.ndarray"]) -> CSRGraph:
+    """An ``(u, v)`` edge stream over ``range(n)`` assembled with unit latencies."""
+    u, v = edges
+    return _csr_from_edge_stream(n, u, v, np.ones(len(u), dtype=np.int64))
+
+
+def _dict_graph(graph: CSRGraph) -> WeightedGraph:
+    """The plain dict graph over ``graph``'s snapshot (what unweighted builders return)."""
+    return WeightedGraph.from_indexed(graph.indexed())
+
+
+class _EdgeRecorder:
+    """Records an edge stream in ``add_edge`` order over nodes ``0..n-1``.
+
+    Stands in for the dict graph that sequential builders query: re-adding
+    a present pair is a no-op, as it is for ``add_edge`` with unit latency.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.keys: set[int] = set()
+        self.u: list[int] = []
+        self.v: list[int] = []
+
+    def add(self, a: int, b: int) -> bool:
+        """Record ``{a, b}`` unless it is present; return whether it was new."""
+        key = a * self.n + b if a < b else b * self.n + a
+        if key in self.keys:
+            return False
+        self.keys.add(key)
+        self.u.append(a)
+        self.v.append(b)
+        return True
+
+    def stream(self) -> tuple["np.ndarray", "np.ndarray"]:
+        """The recorded stream as ``(u, v)`` int64 arrays."""
+        return np.asarray(self.u, dtype=np.int64), np.asarray(self.v, dtype=np.int64)
 
 
 def _edge_stream_latencies(
@@ -571,6 +664,21 @@ def _backbone_missing(
     return missing
 
 
+def _with_backbone(
+    u: "np.ndarray", v: "np.ndarray", codes: "np.ndarray", order: Sequence[int], n: int
+) -> tuple["np.ndarray", "np.ndarray"]:
+    """The stream ``(u, v)`` plus the path through ``order`` where it is missing.
+
+    ``codes`` are the stream's sorted pair codes; each consecutive pair of
+    ``order`` not among them is appended, in path order.
+    """
+    order = np.asarray(order, dtype=np.int64)
+    a = np.minimum(order[:-1], order[1:])
+    b = np.maximum(order[:-1], order[1:])
+    missing = _backbone_missing(codes, a, b, n)
+    return np.concatenate([u, a[missing]]), np.concatenate([v, b[missing]])
+
+
 def _er_edge_stream(
     n: int, p: float, seed: int, ensure_connected: bool = True
 ) -> tuple["np.ndarray", "np.ndarray"]:
@@ -589,12 +697,7 @@ def _er_edge_stream(
     codes = _distinct_codes(rng, m, total)
     u, v = _decode_pair_codes(codes, n)
     if ensure_connected and n > 1:
-        perm = rng.permutation(n).astype(np.int64)
-        a = np.minimum(perm[:-1], perm[1:])
-        b = np.maximum(perm[:-1], perm[1:])
-        missing = _backbone_missing(codes, a, b, n)
-        u = np.concatenate([u, a[missing]])
-        v = np.concatenate([v, b[missing]])
+        u, v = _with_backbone(u, v, codes, rng.permutation(n), n)
     return u, v
 
 
@@ -712,25 +815,34 @@ def watts_strogatz(n: int, k: int = 6, rewire: float = 0.1, seed: int = 0) -> We
     self-loop or duplicate an existing edge keeps the lattice edge instead.
     The base ring ``(i, i+1)`` is re-added where rewired away so the graph
     stays connected — the same distribution-bending trade the ER builders
-    make with their Hamiltonian backbone.
+    make with their Hamiltonian backbone.  Built from
+    :func:`_ws_replayed_stream`.
+    """
+    return _dict_graph(_unit_csr(n, _ws_replayed_stream(n, k, rewire, seed)))
+
+
+def _ws_replayed_stream(
+    n: int, k: int, rewire: float, seed: int
+) -> tuple["np.ndarray", "np.ndarray"]:
+    """:func:`watts_strogatz`'s edge stream, in ``add_edge`` order.
+
+    The rewiring loop is sequential (whether a proposal is accepted
+    depends on every edge before it), so its scalar ``rng`` calls stay;
+    an :class:`_EdgeRecorder` answers the duplicate checks.
     """
     _validate_watts_strogatz(n, k, rewire)
     rng = random.Random(derive_seed(seed, "watts-strogatz"))
-    graph = WeightedGraph(range(n))
+    edges = _EdgeRecorder(n)
     for j in range(1, k // 2 + 1):
         for i in range(n):
             if rng.random() < rewire:
                 target = rng.randrange(n)
-                if target != i and not graph.has_edge(i, target):
-                    graph.add_edge(i, target, 1)
+                if target != i and edges.add(i, target):
                     continue
-            target = (i + j) % n
-            if not graph.has_edge(i, target):
-                graph.add_edge(i, target, 1)
+            edges.add(i, (i + j) % n)
     for i in range(n):
-        if not graph.has_edge(i, (i + 1) % n):
-            graph.add_edge(i, (i + 1) % n, 1)
-    return graph
+        edges.add(i, (i + 1) % n)
+    return edges.stream()
 
 
 def _ws_edge_stream(
@@ -812,28 +924,49 @@ def configuration_model(
     CDF of a discrete Pareto) truncated at the ``~sqrt(n)`` structural
     cutoff, matches stubs by a random shuffle, and drops self-loops and
     multi-edges.  ``ensure_connected`` adds the same Hamiltonian backbone
-    as :func:`erdos_renyi`.
+    as :func:`erdos_renyi`.  Built from :func:`_cm_replayed_stream`.
+    """
+    return _dict_graph(
+        _unit_csr(n, _cm_replayed_stream(n, gamma, min_degree, seed, ensure_connected))
+    )
+
+
+def _cm_replayed_stream(
+    n: int, gamma: float, min_degree: int, seed: int, ensure_connected: bool = True
+) -> tuple["np.ndarray", "np.ndarray"]:
+    """:func:`configuration_model`'s edge stream, in ``add_edge`` order.
+
+    The ``n`` degree draws are replayed from ``random.Random`` in one
+    block; each degree keeps the scalar ``int(min_degree * (1 - r) **
+    exponent)``, because numpy's ``power`` may differ by an ulp and move
+    the truncation.  The stub list is shuffled by the rng itself
+    (Fisher–Yates is sequential).  Of the stub pairs, self-loops drop and
+    each pair code keeps its first occurrence, as ``has_edge`` checks
+    did; the backbone shuffle follows.
     """
     _validate_configuration_model(n, gamma, min_degree)
     rng = random.Random(derive_seed(seed, "configuration-model"))
     cap = _power_law_degree_cap(n, min_degree)
     exponent = -1.0 / (gamma - 1.0)
-    degrees = [min(cap, int(min_degree * (1.0 - rng.random()) ** exponent)) for _ in range(n)]
-    stubs = [node for node, degree in enumerate(degrees) for _ in range(degree)]
-    if len(stubs) % 2:
-        stubs.pop()
+    with MersenneReplay(rng) as stream:
+        draws = stream.random(n).tolist()
+    degrees = [min(cap, int(min_degree * (1.0 - r) ** exponent)) for r in draws]
+    stubs = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    stubs = stubs[: stubs.size - stubs.size % 2].tolist()
     rng.shuffle(stubs)
-    graph = WeightedGraph(range(n))
-    for a, b in zip(stubs[0::2], stubs[1::2]):
-        if a != b and not graph.has_edge(a, b):
-            graph.add_edge(a, b, 1)
+    pairs = np.asarray(stubs, dtype=np.int64)
+    a, b = pairs[0::2], pairs[1::2]
+    loopless = a != b
+    u = np.minimum(a[loopless], b[loopless])
+    v = np.maximum(a[loopless], b[loopless])
+    codes, first = np.unique(_pair_codes(u, v, n), return_index=True)
+    first.sort()
+    u, v = u[first], v[first]
     if ensure_connected and n > 1:
         order = list(range(n))
         rng.shuffle(order)
-        for a, b in zip(order, order[1:]):
-            if not graph.has_edge(a, b):
-                graph.add_edge(a, b, 1)
-    return graph
+        u, v = _with_backbone(u, v, codes, order, n)
+    return u, v
 
 
 def _cm_edge_stream(
@@ -862,12 +995,7 @@ def _cm_edge_stream(
     codes = _dedup_sorted(np.sort(_pair_codes(np.minimum(su, sv), np.maximum(su, sv), n)))
     u, v = _decode_pair_codes(codes, n)
     if ensure_connected and n > 1:
-        perm = rng.permutation(n).astype(np.int64)
-        a = np.minimum(perm[:-1], perm[1:])
-        b = np.maximum(perm[:-1], perm[1:])
-        missing = _backbone_missing(codes, a, b, n)
-        u = np.concatenate([u, a[missing]])
-        v = np.concatenate([v, b[missing]])
+        u, v = _with_backbone(u, v, codes, rng.permutation(n), n)
     return u, v
 
 
@@ -906,17 +1034,36 @@ def kronecker(
     and duplicates are rejected until ``edge_factor·n`` edges accumulate
     (or the attempt budget runs out — duplicates dominate long before
     that on skewed initiators).  ``ensure_connected`` adds the Hamiltonian
-    backbone.
+    backbone.  Built from :func:`_kronecker_replayed_stream`.
+    """
+    return _dict_graph(
+        _unit_csr(n, _kronecker_replayed_stream(n, edge_factor, a, b, c, seed, ensure_connected))
+    )
+
+
+def _kronecker_replayed_stream(
+    n: int,
+    edge_factor: int,
+    a: float,
+    b: float,
+    c: float,
+    seed: int,
+    ensure_connected: bool = True,
+) -> tuple["np.ndarray", "np.ndarray"]:
+    """:func:`kronecker`'s edge stream, in ``add_edge`` order.
+
+    The attempt loop stops at the target edge count, which depends on the
+    duplicates met so far, so its scalar ``rng`` calls stay; an
+    :class:`_EdgeRecorder` answers the duplicate checks.
     """
     _validate_kronecker(n, edge_factor, a, b, c)
     rng = random.Random(derive_seed(seed, "kronecker"))
     levels = max(1, (n - 1).bit_length())
     total = n * (n - 1) // 2
     target = min(edge_factor * n, total)
-    graph = WeightedGraph(range(n))
-    added = 0
+    edges = _EdgeRecorder(n)
     for _attempt in range(32 * target + 64):
-        if added >= target:
+        if len(edges.u) >= target:
             break
         src = dst = 0
         for _level in range(levels):
@@ -924,17 +1071,14 @@ def kronecker(
             quadrant = (r >= a) + (r >= a + b) + (r >= a + b + c)
             src = src * 2 + (quadrant >> 1)
             dst = dst * 2 + (quadrant & 1)
-        if src >= n or dst >= n or src == dst or graph.has_edge(src, dst):
-            continue
-        graph.add_edge(src, dst, 1)
-        added += 1
+        if src < n and dst < n and src != dst:
+            edges.add(src, dst)
     if ensure_connected and n > 1:
         order = list(range(n))
         rng.shuffle(order)
         for x, y in zip(order, order[1:]):
-            if not graph.has_edge(x, y):
-                graph.add_edge(x, y, 1)
-    return graph
+            edges.add(x, y)
+    return edges.stream()
 
 
 def _kronecker_edge_stream(
@@ -990,12 +1134,7 @@ def _kronecker_edge_stream(
         codes = _dedup_sorted(np.sort(np.concatenate([codes, extra]), kind="stable"))
     u, v = _decode_pair_codes(codes, n)
     if ensure_connected and n > 1:
-        perm = rng.permutation(n).astype(np.int64)
-        a_bb = np.minimum(perm[:-1], perm[1:])
-        b_bb = np.maximum(perm[:-1], perm[1:])
-        missing = _backbone_missing(codes, a_bb, b_bb, n)
-        u = np.concatenate([u, a_bb[missing]])
-        v = np.concatenate([v, b_bb[missing]])
+        u, v = _with_backbone(u, v, codes, rng.permutation(n), n)
     return u, v
 
 
@@ -1037,6 +1176,15 @@ def weighted_grid(rows: int, cols: int, model: Optional[LatencyModel] = None, se
     return assign_latencies(grid_graph(rows, cols), model or uniform_latency(), seed=seed)
 
 
+def _sampled_at_scale(n: int, csr: Optional[bool]) -> bool:
+    """Whether a ``weighted_*`` family takes its vectorized ``*_csr`` sampler.
+
+    That is from :data:`CSR_AUTO_THRESHOLD` nodes, unless ``csr`` is
+    false.  Below it every family replays its dict-path draws.
+    """
+    return (csr or csr is None) and n >= CSR_AUTO_THRESHOLD
+
+
 def weighted_erdos_renyi(
     n: int,
     p: float,
@@ -1046,19 +1194,20 @@ def weighted_erdos_renyi(
 ) -> WeightedGraph:
     """Erdős–Rényi graph with latencies drawn from ``model``.
 
-    ``csr=True`` returns a :class:`~repro.graphs.indexed.CSRGraph`: below
-    :data:`CSR_AUTO_THRESHOLD` nodes it repackages the dict-path build (so
-    the realization is bit-identical to ``csr=False`` — the equality the
-    generator tests pin), from the threshold up it switches to the
-    vectorized :func:`erdos_renyi_csr` sampler.  ``csr=None`` (default)
-    picks the CSR path automatically at ``n >= CSR_AUTO_THRESHOLD``.
+    Below :data:`CSR_AUTO_THRESHOLD` nodes the realization is
+    :func:`erdos_renyi`'s, with latencies drawn as :func:`assign_latencies`
+    draws them; ``csr=True`` returns it as the
+    :class:`~repro.graphs.indexed.CSRGraph` the pipeline assembled (no
+    dicts are built), a false ``csr`` as a plain ``WeightedGraph`` over the
+    same arrays — the equality the generator tests pin.  From the
+    threshold up, ``csr=True`` switches to the vectorized
+    :func:`erdos_renyi_csr` sampler.  ``csr=None`` (default) picks the CSR
+    path automatically at ``n >= CSR_AUTO_THRESHOLD``.
     """
-    if csr is None:
-        csr = n >= CSR_AUTO_THRESHOLD
-    if csr and n >= CSR_AUTO_THRESHOLD:
+    if _sampled_at_scale(n, csr):
         return erdos_renyi_csr(n, p, model, seed=seed)
-    graph = assign_latencies(erdos_renyi(n, p, seed=seed), model or uniform_latency(), seed=seed)
-    return CSRGraph.from_weighted(graph) if csr else graph
+    topology = _unit_csr(n, _er_replayed_stream(n, p, seed))
+    return _latency_graph(topology, model or uniform_latency(), seed, csr)
 
 
 def weighted_barabasi_albert(
@@ -1070,18 +1219,15 @@ def weighted_barabasi_albert(
 ) -> WeightedGraph:
     """Barabási–Albert graph with latencies drawn from ``model``.
 
-    ``csr`` behaves as in :func:`weighted_erdos_renyi`: ``True`` returns a
-    :class:`~repro.graphs.indexed.CSRGraph` (bit-identical repackaging of
-    the dict path below :data:`CSR_AUTO_THRESHOLD`, the vectorized
-    :func:`barabasi_albert_csr` sampler from it up), ``None`` auto-selects
-    by size.
+    ``csr`` behaves as in :func:`weighted_erdos_renyi`: below
+    :data:`CSR_AUTO_THRESHOLD` the networkx realization of
+    :func:`barabasi_albert` goes through the shared latency back half, from
+    it up ``csr=True`` selects the vectorized :func:`barabasi_albert_csr`
+    sampler, and ``None`` auto-selects by size.
     """
-    if csr is None:
-        csr = n >= CSR_AUTO_THRESHOLD
-    if csr and n >= CSR_AUTO_THRESHOLD:
+    if _sampled_at_scale(n, csr):
         return barabasi_albert_csr(n, m, model, seed=seed)
-    graph = assign_latencies(barabasi_albert(n, m, seed=seed), model or uniform_latency(), seed=seed)
-    return CSRGraph.from_weighted(graph) if csr else graph
+    return _latency_graph(barabasi_albert(n, m, seed=seed), model or uniform_latency(), seed, csr)
 
 
 def weighted_watts_strogatz(
@@ -1094,18 +1240,16 @@ def weighted_watts_strogatz(
 ) -> WeightedGraph:
     """Watts–Strogatz small-world graph with latencies drawn from ``model``.
 
-    ``csr`` behaves as in :func:`weighted_erdos_renyi`: ``True`` returns a
-    :class:`~repro.graphs.indexed.CSRGraph` (bit-identical repackaging of
-    the dict path below :data:`CSR_AUTO_THRESHOLD`, the vectorized
-    :func:`watts_strogatz_csr` sampler from it up), ``None`` auto-selects
-    by size.
+    ``csr`` behaves as in :func:`weighted_erdos_renyi`: below
+    :data:`CSR_AUTO_THRESHOLD` the realization is :func:`watts_strogatz`'s
+    (as a ``CSRGraph`` for ``csr=True``), from it up ``csr=True`` selects
+    the vectorized :func:`watts_strogatz_csr` sampler, and ``None``
+    auto-selects by size.
     """
-    if csr is None:
-        csr = n >= CSR_AUTO_THRESHOLD
-    if csr and n >= CSR_AUTO_THRESHOLD:
+    if _sampled_at_scale(n, csr):
         return watts_strogatz_csr(n, k, rewire, model, seed=seed)
-    graph = assign_latencies(watts_strogatz(n, k, rewire, seed=seed), model or uniform_latency(), seed=seed)
-    return CSRGraph.from_weighted(graph) if csr else graph
+    topology = _unit_csr(n, _ws_replayed_stream(n, k, rewire, seed))
+    return _latency_graph(topology, model or uniform_latency(), seed, csr)
 
 
 def weighted_configuration_model(
@@ -1118,20 +1262,17 @@ def weighted_configuration_model(
 ) -> WeightedGraph:
     """Power-law configuration-model graph with latencies drawn from ``model``.
 
-    ``csr`` behaves as in :func:`weighted_erdos_renyi`: ``True`` returns a
-    :class:`~repro.graphs.indexed.CSRGraph` (bit-identical repackaging of
-    the dict path below :data:`CSR_AUTO_THRESHOLD`, the vectorized
-    :func:`configuration_model_csr` sampler from it up), ``None``
-    auto-selects by size.
+    ``csr`` behaves as in :func:`weighted_erdos_renyi`: below
+    :data:`CSR_AUTO_THRESHOLD` the realization is
+    :func:`configuration_model`'s (as a ``CSRGraph`` for ``csr=True``),
+    from it up ``csr=True`` selects the vectorized
+    :func:`configuration_model_csr` sampler, and ``None`` auto-selects by
+    size.
     """
-    if csr is None:
-        csr = n >= CSR_AUTO_THRESHOLD
-    if csr and n >= CSR_AUTO_THRESHOLD:
+    if _sampled_at_scale(n, csr):
         return configuration_model_csr(n, gamma, min_degree, model, seed=seed)
-    graph = assign_latencies(
-        configuration_model(n, gamma, min_degree, seed=seed), model or uniform_latency(), seed=seed
-    )
-    return CSRGraph.from_weighted(graph) if csr else graph
+    topology = _unit_csr(n, _cm_replayed_stream(n, gamma, min_degree, seed))
+    return _latency_graph(topology, model or uniform_latency(), seed, csr)
 
 
 def weighted_kronecker(
@@ -1146,17 +1287,13 @@ def weighted_kronecker(
 ) -> WeightedGraph:
     """Stochastic Kronecker (R-MAT) graph with latencies drawn from ``model``.
 
-    ``csr`` behaves as in :func:`weighted_erdos_renyi`: ``True`` returns a
-    :class:`~repro.graphs.indexed.CSRGraph` (bit-identical repackaging of
-    the dict path below :data:`CSR_AUTO_THRESHOLD`, the vectorized
-    :func:`kronecker_csr` sampler from it up), ``None`` auto-selects by
+    ``csr`` behaves as in :func:`weighted_erdos_renyi`: below
+    :data:`CSR_AUTO_THRESHOLD` the realization is :func:`kronecker`'s (as
+    a ``CSRGraph`` for ``csr=True``), from it up ``csr=True`` selects the
+    vectorized :func:`kronecker_csr` sampler, and ``None`` auto-selects by
     size.
     """
-    if csr is None:
-        csr = n >= CSR_AUTO_THRESHOLD
-    if csr and n >= CSR_AUTO_THRESHOLD:
+    if _sampled_at_scale(n, csr):
         return kronecker_csr(n, edge_factor, a, b, c, model, seed=seed)
-    graph = assign_latencies(
-        kronecker(n, edge_factor, a, b, c, seed=seed), model or uniform_latency(), seed=seed
-    )
-    return CSRGraph.from_weighted(graph) if csr else graph
+    topology = _unit_csr(n, _kronecker_replayed_stream(n, edge_factor, a, b, c, seed))
+    return _latency_graph(topology, model or uniform_latency(), seed, csr)

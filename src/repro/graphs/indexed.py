@@ -276,6 +276,23 @@ class IndexedGraph:
         """Latency of the edge between node indices ``i`` and ``j``."""
         return int(self.latencies[self.slot_of(i, j)])
 
+    def adjacency(self) -> dict["NodeId", dict["NodeId", int]]:
+        """Fresh ``{label: {neighbour label: latency}}`` dicts, in CSR slot order.
+
+        Slot order becomes dict insertion order, so a ``WeightedGraph``
+        over these dicts re-derives exactly this snapshot.  This is how a
+        :class:`CSRGraph` materialises its dicts and how
+        :meth:`WeightedGraph.from_indexed` builds a dict graph from arrays.
+        """
+        labels = self.labels
+        indptr = self.indptr.tolist()
+        indices = self.indices.tolist()
+        lats = self.latencies.tolist()
+        return {
+            labels[i]: {labels[indices[s]]: lats[s] for s in range(indptr[i], indptr[i + 1])}
+            for i in range(len(labels))
+        }
+
     def directed_pairs(self) -> set[tuple[int, int]]:
         """All directed (node, neighbour) index pairs of this snapshot.
 
@@ -331,18 +348,7 @@ class CSRGraph(WeightedGraph):
     @property
     def _adj(self) -> dict:
         if self._adj_dict is None:
-            snap = self._snapshot
-            labels = snap.labels
-            indptr = snap.indptr.tolist()
-            indices = snap.indices.tolist()
-            lats = snap.latencies.tolist()
-            self._adj_dict = {
-                labels[i]: {
-                    labels[indices[s]]: lats[s]
-                    for s in range(indptr[i], indptr[i + 1])
-                }
-                for i in range(len(labels))
-            }
+            self._adj_dict = self._snapshot.adjacency()
         return self._adj_dict
 
     @_adj.setter
@@ -449,18 +455,6 @@ class CSRGraph(WeightedGraph):
         if not self._fresh():
             return super().total_volume()
         return int(len(self._snapshot.indices))
-
-    def max_latency(self) -> int:
-        if not self._fresh():
-            return super().max_latency()
-        lats = self._snapshot.latencies
-        return int(lats.max()) if lats.size else 1
-
-    def min_latency(self) -> int:
-        if not self._fresh():
-            return super().min_latency()
-        lats = self._snapshot.latencies
-        return int(lats.min()) if lats.size else 1
 
     def is_connected(self) -> bool:
         """Vectorized frontier BFS over the CSR arrays (dict path if mutated)."""

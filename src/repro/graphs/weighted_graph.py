@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import networkx as nx
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .indexed import IndexedGraph
@@ -271,18 +272,22 @@ class WeightedGraph:
         return list(self.edges())
 
     def max_latency(self) -> int:
-        """Return the maximum edge latency ℓmax (1 for an edgeless graph)."""
-        latencies = [edge.latency for edge in self.edges()]
-        return max(latencies) if latencies else 1
+        """Return the maximum edge latency ℓmax (1 for an edgeless graph).
+
+        Read off the cached :meth:`indexed` snapshot's latency array, like
+        :meth:`min_latency` and :meth:`distinct_latencies`.
+        """
+        latencies = self.indexed().latencies
+        return int(latencies.max()) if latencies.size else 1
 
     def min_latency(self) -> int:
         """Return the minimum edge latency (1 for an edgeless graph)."""
-        latencies = [edge.latency for edge in self.edges()]
-        return min(latencies) if latencies else 1
+        latencies = self.indexed().latencies
+        return int(latencies.min()) if latencies.size else 1
 
     def distinct_latencies(self) -> list[int]:
         """Return the sorted list of distinct latencies present in the graph."""
-        return sorted({edge.latency for edge in self.edges()})
+        return np.unique(self.indexed().latencies).tolist()
 
     # ------------------------------------------------------------------
     # Derived graphs
@@ -323,6 +328,21 @@ class WeightedGraph:
         graph.add_nodes_from(self.nodes())
         for edge in self.edges():
             graph.add_edge(edge.u, edge.v, latency=edge.latency, weight=edge.latency)
+        return graph
+
+    @classmethod
+    def from_indexed(cls, snapshot: "IndexedGraph") -> "WeightedGraph":
+        """A dict graph over ``snapshot``'s arrays, with ``snapshot`` as its ``indexed()``.
+
+        The per-node dicts follow CSR slot order
+        (:meth:`~repro.graphs.indexed.IndexedGraph.adjacency`), so the
+        result equals the graph whose ``add_edge`` calls laid the snapshot
+        out, without re-adding a single edge; the generators build their
+        dict graphs this way from edge streams.
+        """
+        graph = cls()
+        graph._adj = snapshot.adjacency()
+        graph._indexed_cache = (graph._version, snapshot)
         return graph
 
     @classmethod

@@ -138,9 +138,11 @@ GRAPH_FAMILIES = {
         max(2, int(n**0.5)), max(2, int(n**0.5)), model, seed=seed
     ),
     "erdos-renyi": lambda n, model, seed: weighted_erdos_renyi(
-        n, min(1.0, 8.0 / max(n, 2)), model, seed=seed
+        n, min(1.0, 8.0 / max(n, 2)), model, seed=seed, csr=True
     ),
-    "barabasi-albert": lambda n, model, seed: weighted_barabasi_albert(n, 3, model, seed=seed),
+    "barabasi-albert": lambda n, model, seed: weighted_barabasi_albert(
+        n, 3, model, seed=seed, csr=True
+    ),
     # Two fast cliques joined by one slow link — the paper's bottleneck
     # shape.  Its latencies are fixed by construction (1 inside the
     # clusters, 32 on the bridge) and the builder is deterministic, so the
@@ -153,15 +155,18 @@ GRAPH_FAMILIES = {
     # repro.graphs.generators.CSR_AUTO_THRESHOLD, so million-node specs
     # build without ever materializing a python dict-of-dicts.  Their knobs
     # are exposed through ``graph.params`` (validated per family by
-    # :data:`FAMILY_PARAMS`).
+    # :data:`FAMILY_PARAMS`).  Every family that takes ``csr`` gets
+    # ``csr=True``: below the threshold that is the replayed dict-path
+    # realization assembled straight into arrays, so the graph store
+    # snapshots it without building a dict.
     "watts-strogatz": lambda n, model, seed, **params: weighted_watts_strogatz(
-        n, model=model, seed=seed, **params
+        n, model=model, seed=seed, csr=True, **params
     ),
     "configuration-model": lambda n, model, seed, **params: weighted_configuration_model(
-        n, model=model, seed=seed, **params
+        n, model=model, seed=seed, csr=True, **params
     ),
     "kronecker": lambda n, model, seed, **params: weighted_kronecker(
-        n, model=model, seed=seed, **params
+        n, model=model, seed=seed, csr=True, **params
     ),
 }
 

@@ -321,11 +321,7 @@ class BatchEngine:
         if bit is None:
             bit = len(self._rumors)
             if bit >= self._words * 64:
-                grown = self._words + 1
-                self._check_memory(words=grown, action=f"growing to {grown * 64} rumor bits")
-                pad = np.zeros(self._know.shape[:2] + (1,), dtype=np.uint64)
-                self._know = np.concatenate([self._know, pad], axis=2)
-                self._words = grown
+                self._grow_plane(self._words + 1)
             self._rumor_bit[rumor] = bit
             self._rumors.append(rumor)
             self._bit_origin.append(origin_index)
@@ -340,8 +336,26 @@ class BatchEngine:
 
         Seeded in label order, so rumor bit ``b`` originates at node index
         ``b`` — the invariant :meth:`all_to_all_complete_mask` relies on.
+        The rumors that fit the current words register first; the first
+        one past them grows the plane once, to its final width, so the
+        memory guard weighs (and a refusal names) the whole plane.
         """
-        return {node: self.seed_rumor(node) for node in self._idx.labels}
+        labels = self._idx.labels
+        fresh = sum(1 for node in labels if Rumor(origin=node) not in self._rumor_bit)
+        words = -(-(len(self._rumors) + fresh) // 64)
+        seeded = {}
+        for node in labels:
+            if words > self._words and len(self._rumors) == 64 * self._words:
+                self._grow_plane(words)
+            seeded[node] = self.seed_rumor(node)
+        return seeded
+
+    def _grow_plane(self, words: int) -> None:
+        """Widen the knowledge plane to ``words`` uint64 words, if the guard allows."""
+        self._check_memory(words=words, action=f"growing to {words * 64} rumor bits")
+        pad = np.zeros(self._know.shape[:2] + (words - self._words,), dtype=np.uint64)
+        self._know = np.concatenate([self._know, pad], axis=2)
+        self._words = words
 
     def track_curve(self, rumor: Rumor) -> None:
         """Record per-round informed counts of ``rumor`` during :meth:`run_batch`."""

@@ -291,6 +291,30 @@ def test_memory_guard_blocks_knowledge_word_growth(monkeypatch):
     engine.run_batch(policy, lambda eng: eng.dissemination_complete_mask(rumor))
 
 
+def test_seed_all_rumors_grows_the_plane_once_to_its_final_width(monkeypatch):
+    graph = weighted_erdos_renyi(200, 0.05, seed=3)
+    engine = BatchEngine(graph, reps=2)
+    # 200 rumors need 4 words; the guard weighs all of them at the first
+    # growth and names the whole plane when it refuses.
+    monkeypatch.setattr(
+        batch_engine, "DEFAULT_MEMORY_LIMIT", engine._estimate_bytes(words=3)["total"]
+    )
+    with pytest.raises(SimulationError, match="growing to 256 rumor bits"):
+        engine.seed_all_rumors()
+    assert len(engine._rumors) == 64 and engine._words == 1
+    monkeypatch.setattr(
+        batch_engine, "DEFAULT_MEMORY_LIMIT", engine._estimate_bytes(words=4)["total"]
+    )
+    widths = []
+    grow = BatchEngine._grow_plane
+    monkeypatch.setattr(
+        BatchEngine, "_grow_plane", lambda self, words: (widths.append(words), grow(self, words))
+    )
+    rumors = engine.seed_all_rumors()
+    assert widths == [4] and engine._know.shape == (200, 2, 4)
+    assert [engine._rumor_bit[rumors[node]] for node in graph.nodes()] == list(range(200))
+
+
 def test_batch_parity_beyond_64_rumors_multi_word_planes():
     # 80 rumors force a second uint64 bitplane word, exercising the generic
     # multi-word gather/merge/popcount paths on both sides of the parity.

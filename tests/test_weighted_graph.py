@@ -140,6 +140,16 @@ class TestQueries:
         assert graph.max_latency() == 1
         assert graph.min_latency() == 1
 
+    def test_latency_summaries_follow_mutations_as_python_ints(self, triangle):
+        # The summaries read the per-version snapshot, so each mutation
+        # must show, and distinct latencies stay plain ints.
+        assert all(type(latency) is int for latency in triangle.distinct_latencies())
+        triangle.set_latency(0, 2, 9)
+        assert (triangle.max_latency(), triangle.distinct_latencies()) == (9, [1, 2, 9])
+        triangle.remove_edge(0, 1)
+        assert (triangle.min_latency(), triangle.distinct_latencies()) == (2, [2, 9])
+        assert WeightedGraph(range(3)).distinct_latencies() == []
+
     def test_contains_len_iter(self, triangle):
         assert 0 in triangle
         assert 5 not in triangle
