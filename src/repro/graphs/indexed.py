@@ -221,6 +221,19 @@ class IndexedGraph:
         """Return the contiguous integer index of a node label."""
         return self.index[label]
 
+    def lookup(self, label: "NodeId") -> Optional[int]:
+        """The index of ``label``, or ``None`` when it is not a node.
+
+        An int label found at its own position answers without building
+        :attr:`index` (CSR builds label their nodes ``0..n-1``), so a run
+        that looks up one source never pays for the whole dict.
+        """
+        labels = self.labels
+        if self._index is None and type(label) is int and 0 <= label < len(labels):
+            if labels[label] == label:
+                return label
+        return self.index.get(label)
+
     def label_of(self, i: int) -> "NodeId":
         """Return the original label of node index ``i``."""
         return self.labels[i]
@@ -399,7 +412,7 @@ class CSRGraph(WeightedGraph):
     def has_node(self, node: "NodeId") -> bool:
         if not self._fresh():
             return super().has_node(node)
-        return node in self._snapshot.index
+        return self._snapshot.lookup(node) is not None
 
     def degree(self, node: "NodeId") -> int:
         if not self._fresh():
@@ -480,7 +493,16 @@ class CSRGraph(WeightedGraph):
                 np.arange(total, dtype=np.int64) - offsets
             )
             nbrs = indices[slots]
-            fresh = np.unique(nbrs[~visited[nbrs]])
+            fresh = nbrs[~visited[nbrs]]
+            if fresh.size * 8 < n:
+                fresh = np.unique(fresh)
+            else:
+                # A wide frontier: marking a node mask and scanning it is
+                # cheaper than hashing, and gives the same sorted set; the
+                # size test keeps these O(n) scans to a few levels.
+                mask = np.zeros(n, dtype=bool)
+                mask[fresh] = True
+                fresh = np.flatnonzero(mask)
             visited[fresh] = True
             reached += int(fresh.size)
             frontier = fresh

@@ -21,9 +21,16 @@ operations over the CSR edge set:
   draw-and-map a sequential numpy-mode ``FastEngine`` run performs, which
   is what makes batched column ``r`` **bit-for-bit equal** to that
   sequential run;
-* **latency gating** batches in-flight exchanges by completion round (one
-  latency sort per round hands each completion round a contiguous slice),
-  with payload snapshots gathered as row blocks at initiation time;
+* **latency gating** batches in-flight exchanges by completion round: one
+  radix sort over each slot's latency code hands every completion round a
+  contiguous slice, with payload snapshots gathered at initiation time.
+  Static non-blocking single-word runs split this in two: a per-(completion
+  round, replication) *tally* counts every exchange by payload size (all
+  the message and payload counters need), and only the *informative*
+  exchanges — whose two payload snapshots differ, the only ones that can
+  change knowledge — are sorted and carried to delivery; a compact
+  per-round record of every exchange lets a topology resync take lost
+  ones back out of their tallies;
 * **dynamics and faults** ride the existing shared applier: the one
   scenario-seeded schedule mutates the one shared graph (all replications
   see the same topology trajectory, by construction of the scenario seed
@@ -96,10 +103,55 @@ EDGE_ACTIVATION_SLOT_LIMIT = 2_000_000
 #: Default memory budget for the engine's arrays (bytes).
 DEFAULT_MEMORY_LIMIT = 4 * 1024**3
 
+#: Payload-size levels of a static tally row: two one-word snapshots carry
+#: 0..128 rumor bits between them.
+_SIZE_LEVELS = 2 * 64 + 1
+
 
 def _activation_buffer_size(n: int, reps: int) -> int:
     """Ring-buffer capacity: about 24 rounds of (node, rep) activations, within [2^16, 2^23]."""
     return min(8_388_608, max(65_536, 24 * n * reps))
+
+
+class _InitiationRecord:
+    """One static round's initiations, kept until its last exchange completes.
+
+    ``first`` holds the round's CSR slots until a structural resync turns
+    them into initiator indices (``second`` then holds the responders);
+    ``ranks`` index ``values`` for each exchange's latency and ``sizes``
+    hold its payload size, so a resync can find every pending exchange
+    over a removed pair and take it back out of its tally.  Exchanges are
+    in replication-major order, ``rep_counts`` of them per replication
+    (``None`` at one replication).
+    """
+
+    __slots__ = ("round", "last", "first", "second", "ranks", "values", "sizes", "rep_counts")
+
+    def __init__(self, round_: int, last: int, slots, ranks, values, sizes, rep_counts) -> None:
+        self.round = round_
+        self.last = last
+        self.first = slots
+        self.second: Optional[np.ndarray] = None
+        self.ranks = ranks
+        self.values = values
+        self.sizes = sizes
+        self.rep_counts = rep_counts
+
+    def rep_ids(self) -> np.ndarray:
+        """The replication of every exchange, in record order."""
+        if self.rep_counts is None:
+            return np.zeros(self.sizes.size, dtype=np.int64)
+        return np.repeat(np.arange(self.rep_counts.size), self.rep_counts)
+
+    def keep(self, kept: np.ndarray, rep_ids: np.ndarray) -> None:
+        """Retain only the exchanges where the boolean ``kept`` holds."""
+        self.first = self.first[kept]
+        if self.second is not None:
+            self.second = self.second[kept]
+        self.ranks = self.ranks[kept]
+        self.sizes = self.sizes[kept]
+        if self.rep_counts is not None:
+            self.rep_counts = np.bincount(rep_ids[kept], minlength=self.rep_counts.size)
 
 
 @register_engine("batch")
@@ -203,10 +255,16 @@ class BatchEngine:
         self._completion_round = np.full(reps, -1, dtype=np.int64)
         # In-flight exchanges, batched by completion round: each entry is
         # (initiator idx, responder idx, rep idx, payload_i, payload_j) —
-        # or, on static non-blocking single-word runs, the initiator and
-        # responder columns hold flattened (node * reps + rep) indices so
-        # delivery can scatter without recomputing them.
+        # or, on static non-blocking single-word runs, the informative
+        # exchanges only, with the initiator and responder columns holding
+        # flattened (node * reps + rep) indices so delivery can scatter
+        # without recomputing them.  Those runs also keep every exchange's
+        # (replication, payload size) count per completion round in
+        # ``_tallies`` ((reps, _SIZE_LEVELS) rows) and one compact record
+        # per in-flight initiation round in ``_records``.
         self._due: dict[int, list[tuple]] = {}
+        self._tallies: dict[int, np.ndarray] = {}
+        self._records: list[_InitiationRecord] = []
         self._lin_due = dynamics is None and not blocking
         self._lin_entries = False
         # Single-rumor static runs carry one-bit payloads; storing them as
@@ -246,18 +304,29 @@ class BatchEngine:
         self._starts = self._indptr[:-1]
         if self._track_activations:
             self._slot_edge_ids = np.asarray(idx.slot_edge_id, dtype=np.int64)
-        self._set_latency_sortkey()
+        self._set_latency_ranks()
 
-    def _set_latency_sortkey(self) -> None:
-        """Build the radix-sortable latency copy for the per-round grouping.
+    def _set_latency_ranks(self) -> None:
+        """Code every slot's latency by its rank among the distinct latencies.
 
-        Stable argsort over int16 is O(k); graphs with latencies beyond the
-        int16 range fall back to the int64 array (comparison sort).
+        ``_latency_values`` lists the snapshot's distinct latencies in
+        increasing order and ``_latency_rank`` holds each slot's index into
+        it, as uint8 or uint16 where they fit: a stable argsort over the
+        codes is then a radix sort, and static tallies are sized by the
+        latencies the graph has rather than by the largest one.
         """
-        if self._latencies.size and int(self._latencies.max()) < 32767:
-            self._latencies_sortkey = self._latencies.astype(np.int16)
+        latencies = self._latencies
+        top = int(latencies.max()) if latencies.size else 0
+        if top < 1 << 16:
+            present = np.zeros(top + 1, dtype=bool)
+            present[latencies] = True
+            values = np.flatnonzero(present)
+            dtype = np.uint8 if values.size <= 1 << 8 else np.uint16
+            ranks = (np.cumsum(present) - 1).astype(dtype)[latencies]
         else:  # pragma: no cover - latencies this large do not occur in the suite
-            self._latencies_sortkey = self._latencies
+            values, ranks = np.unique(latencies, return_inverse=True)
+        self._latency_values = values.astype(np.int64)
+        self._latency_rank = ranks
 
     def _estimate_bytes(self, words: int) -> dict[str, int]:
         """Estimate the engine's array footprint at ``words`` knowledge words.
@@ -268,17 +337,20 @@ class BatchEngine:
         acting and draw buffers, and the worst-case in-flight pipeline —
         every (node, replication) keeps one exchange per round alive for up
         to the maximum edge latency, each carrying three index columns and
-        two payload snapshots.
+        two payload snapshots, plus (static runs) an 8-byte record share per
+        exchange and one size-level tally row per replication and
+        completion round.
         """
         n, reps = self._idx.num_nodes, self.reps
-        max_latency = int(self._latencies.max()) if self._latencies.size else 1
+        max_latency = max(1, int(self._latencies.max()) if self._latencies.size else 1)
         tracked = self._track_activations
         estimate = {
             "knowledge": n * reps * words * 8,
             "edge-counts": self._idx.num_edges * reps * 8 if tracked else 0,
             "activation-buffers": _activation_buffer_size(n, reps) * 8 if tracked else 0,
             "round-buffers": reps * n * 9,
-            "pipeline": n * reps * max(1, max_latency) * (24 + 16 * words),
+            "pipeline": n * reps * max_latency * (32 + 16 * words)
+            + max_latency * reps * _SIZE_LEVELS * 8,
         }
         estimate["total"] = sum(estimate.values())
         return estimate
@@ -313,7 +385,7 @@ class BatchEngine:
     # ------------------------------------------------------------------
     def seed_rumor(self, origin: NodeId, payload: Any = None) -> Rumor:
         """Give ``origin`` a fresh rumor (in every replication) and return it."""
-        origin_index = self._idx.index.get(origin)
+        origin_index = self._idx.lookup(origin)
         if origin_index is None:
             raise GraphError(f"node {origin!r} is not in the simulated graph")
         rumor = Rumor(origin=origin, payload=payload)
@@ -466,10 +538,16 @@ class BatchEngine:
         if self._crashed_mask.any():
             know_any = know_any[~self._crashed_mask]
         quiescent = ~know_any.any(axis=0)
-        if quiescent.any() and self._due:
+        if quiescent.any() and (self._due or self._tallies):
             inflight = np.zeros(self.reps, dtype=bool)
+            # A tallied exchange of nonzero size carries the rumor.
+            for tally in self._tallies.values():
+                inflight |= tally[:, 1:].any(axis=1)
             for batches in self._due.values():
                 for entry in batches:
+                    if self._lin_entries:  # informative: one side knows the rumor
+                        inflight[entry[0] % self.reps] = True
+                        continue
                     rep_ids, payload_i, payload_j = entry[2], entry[3], entry[4]
                     if payload_i.dtype == np.bool_:
                         infectious = payload_i | payload_j
@@ -541,7 +619,7 @@ class BatchEngine:
                 self._drop_pending_over(removed)
             self._idx = new
             self._latencies = np.asarray(new.latencies, dtype=np.int64)
-            self._set_latency_sortkey()
+            self._set_latency_ranks()
             self._graph_version = self.graph.version
             return
         if self._track_activations:
@@ -564,6 +642,13 @@ class BatchEngine:
                 )
                 self._sir_recovered = _pad(self._sir_recovered, 0)
         self._acting_cache = None
+        # Records name exchanges by the retiring snapshot's slots: pin them
+        # to index pairs before the slots die.
+        for record in self._records:
+            if record.second is None:
+                initiators, responders = self._record_pairs(record)
+                record.first = initiators.astype(np.int32)
+                record.second = responders.astype(np.int32)
         if removed:
             self._drop_pending_over(removed)
         self._idx = new
@@ -574,19 +659,65 @@ class BatchEngine:
         self._graph_version = self.graph.version
 
     def _drop_pending_over(self, removed: set[tuple[int, int]]) -> None:
-        """Drop in-flight exchanges travelling over removed directed pairs."""
+        """Drop in-flight exchanges travelling over removed directed pairs.
+
+        On static runs the records see every pending exchange, retired or
+        informative: they take the lost ones out of their tallies and count
+        them, and ``drop_pending`` only cuts the informative ones from the
+        pipeline.  Elsewhere the pipeline holds every exchange and its cut
+        is what gets counted.
+        """
         stride = self.reps if self._lin_entries else 1
         dropped = drop_pending(self._due, removed, self._idx.num_nodes, stride)
-        if dropped is None:
-            return
-        initiators, rep_ids = dropped[0], dropped[2]
-        if self._outstanding is not None:  # blocking runs never use flattened columns
-            np.subtract.at(self._outstanding, (rep_ids, initiators), 1)
         # Completed replications' leftover exchanges are already drained in
         # spirit — only live replications pay for losses.
+        if self._lin_entries:
+            rep_ids = self._untally_over(removed)
+        elif dropped is None:
+            return
+        else:
+            initiators, rep_ids = dropped[0], dropped[2]
+            if self._outstanding is not None:  # blocking runs never use flattened columns
+                np.subtract.at(self._outstanding, (rep_ids, initiators), 1)
         lost = rep_ids[self._active[rep_ids]]
         if lost.size:
             self._lost += np.bincount(lost, minlength=self.reps)
+
+    def _record_pairs(self, record: _InitiationRecord) -> tuple[np.ndarray, np.ndarray]:
+        """A record's (initiator, responder) index columns, as int64."""
+        if record.second is None:  # CSR slots of the current snapshot
+            slots = record.first.astype(np.int64)
+            return np.searchsorted(self._indptr, slots, side="right") - 1, self._indices[slots]
+        return record.first.astype(np.int64), record.second.astype(np.int64)
+
+    def _untally_over(self, removed: set[tuple[int, int]]) -> np.ndarray:
+        """Take every pending recorded exchange over ``removed`` out of its tally.
+
+        Returns the replication of each exchange taken out; the records
+        forget them, so a later resync cannot count them again.
+        """
+        if not self._records:
+            return np.empty(0, dtype=np.int64)
+        taken: list[np.ndarray] = []
+        removed_keys = np.sort(
+            np.fromiter(((i << 32) | j for i, j in removed), dtype=np.int64, count=len(removed))
+        )
+        for record in self._records:
+            initiators, responders = self._record_pairs(record)
+            completes = record.round + record.values[record.ranks]
+            hit = (completes >= self.round) & sorted_contains(
+                removed_keys, (initiators << 32) | responders
+            )
+            if not hit.any():
+                continue
+            rep_ids = record.rep_ids()
+            hit_reps, hit_sizes, hit_rounds = rep_ids[hit], record.sizes[hit], completes[hit]
+            for completes_at in np.unique(hit_rounds).tolist():
+                at = hit_rounds == completes_at
+                np.subtract.at(self._tallies[completes_at], (hit_reps[at], hit_sizes[at]), 1)
+            taken.append(hit_reps)
+            record.keep(~hit, rep_ids)
+        return np.concatenate(taken) if taken else np.empty(0, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Edge-activation accounting (only while activations are tracked)
@@ -654,7 +785,7 @@ class BatchEngine:
     # ------------------------------------------------------------------
     @staticmethod
     def _concat_batches(batches: list[tuple]) -> tuple:
-        """Concatenate a round's due batches into one five-array block."""
+        """Concatenate a round's due batches column by column."""
         if len(batches) == 1:
             return batches[0]
         return tuple(np.concatenate(parts) for parts in zip(*batches))
@@ -666,13 +797,19 @@ class BatchEngine:
         exchange was in flight are discarded here (the vectorized
         ``drain``); fault-suppressed exchanges count per replication.
         """
+        tally = self._tallies.pop(self.round, None)
+        if tally is not None:
+            self._count_tally(tally)
+        if self._records:
+            self._records = [record for record in self._records if record.last > self.round]
         batches = self._due.pop(self.round, None)
         if batches is None:
             return
-        initiators, responders, rep_ids, payload_i, payload_j = self._concat_batches(batches)
+        columns = self._concat_batches(batches)
         if self._lin_entries:
-            self._deliver_linear(initiators, responders, rep_ids, payload_i, payload_j)
+            self._deliver_linear(*columns)
             return
+        initiators, responders, rep_ids, payload_i, payload_j = columns
         if self._outstanding is not None:
             np.subtract.at(self._outstanding, (rep_ids, initiators), 1)
             if (self._outstanding < 0).any():
@@ -758,28 +895,39 @@ class BatchEngine:
             # knowledge), so the completion predicate and curve reuse it.
             self._informed_cache = (self.round, 0, after)
 
-    def _deliver_linear(
-        self,
-        lin_i: np.ndarray,
-        lin_j: np.ndarray,
-        rep_ids: np.ndarray,
-        payload_i: np.ndarray,
-        payload_j: np.ndarray,
-    ) -> None:
-        """Delivery fast path for static non-blocking single-word runs.
+    def _count_tally(self, tally: np.ndarray) -> None:
+        """Charge a completion round's tallied exchanges to the live replications.
 
-        No dynamics means no faults, no lost exchanges, and no outstanding
-        bookkeeping; the due entries carry flattened knowledge indices, so
-        the merge is a direct scatter.
+        ``tally[rep, size]`` counts the round's exchanges of each payload
+        size: each sent two messages, the sizes add up to the payload sent,
+        and the largest size present bounds the maximum payload.
         """
         if not self._active.all():
-            alive = self._active[rep_ids]
+            tally[~self._active] = 0
+        levels = np.arange(_SIZE_LEVELS, dtype=np.int64)
+        self._messages += 2 * tally.sum(axis=1)
+        self._payload_sent += tally @ levels
+        top = np.where(tally != 0, levels, 0).max(axis=1)
+        np.maximum(self._max_payload, top, out=self._max_payload)
+
+    def _deliver_linear(
+        self, lin_i: np.ndarray, lin_j: np.ndarray, payload_i: np.ndarray, payload_j: np.ndarray
+    ) -> None:
+        """Merge a round's informative static exchanges into the knowledge plane.
+
+        Static non-blocking single-word runs only: no dynamics means no
+        faults and no outstanding bookkeeping, and the round's tally has
+        already charged every exchange's messages and payload, so this
+        only scatters the payloads (the entries carry flattened knowledge
+        indices) and takes the popcount delta.
+        """
+        if not self._active.all():
+            alive = self._active[lin_i % self.reps]
             if not alive.any():
                 return
             if not alive.all():
                 lin_i = lin_i[alive]
                 lin_j = lin_j[alive]
-                rep_ids = rep_ids[alive]
                 payload_i = payload_i[alive]
                 payload_j = payload_j[alive]
         know = self._know
@@ -787,34 +935,25 @@ class BatchEngine:
             self._popcounts = np.bitwise_count(know).sum(axis=(0, 2), dtype=np.int64)
         before = self._popcounts
         flat = know.reshape(-1)
-        rec_flat = (
-            self._sir_recovered.reshape(-1) if self._sir_infected_at is not None else None
-        )
         if len(self._rumors) == 1:
-            one = np.uint64(1)
-            if payload_i.dtype == np.bool_:
-                sel_j, sel_i = payload_i, payload_j
-                sizes = payload_i.astype(np.int64)
-                sizes += payload_j
-            else:
-                sel_j = payload_i != 0
-                sel_i = payload_j != 0
-                sizes = (payload_i + payload_j).astype(np.int64)
-            if rec_flat is not None:
+            # One rumor: an informative exchange has exactly one informed
+            # side, so the merge is a duplicate-safe constant scatter.
+            # Under SIR, recovered cells ignore the payload.  (Keyed on the
+            # rumor count, not on boolean payloads: one-bit entries an
+            # earlier run left pending must OR into words that may already
+            # hold later rumors.)
+            sel_j = payload_i.astype(bool, copy=False)
+            sel_i = payload_j.astype(bool, copy=False)
+            if self._sir_infected_at is not None:
+                rec_flat = self._sir_recovered.reshape(-1)
                 sel_j = sel_j & ~rec_flat[lin_j]
                 sel_i = sel_i & ~rec_flat[lin_i]
+            one = np.uint64(1)
             flat[lin_j[sel_j]] = one
             flat[lin_i[sel_i]] = one
         else:
             np.bitwise_or.at(flat, lin_j, payload_i)
             np.bitwise_or.at(flat, lin_i, payload_j)
-            sizes = (np.bitwise_count(payload_i) + np.bitwise_count(payload_j)).astype(np.int64)
-        self._messages += 2 * np.bincount(rep_ids, minlength=self.reps)
-        self._payload_sent += np.bincount(rep_ids, weights=sizes, minlength=self.reps).astype(
-            np.int64
-        )
-        if sizes.size and int(sizes.max()) > int(self._max_payload.min()):
-            np.maximum.at(self._max_payload, rep_ids, sizes)
         after = np.bitwise_count(know).sum(axis=(0, 2), dtype=np.int64)
         self._deliveries += after - before
         self._popcounts = after
@@ -923,47 +1062,117 @@ class BatchEngine:
             self._activations += counts
         else:
             self._activations[active_rows] += counts
+        ranks_f = np.take(self._latency_rank, slots_f)
+        if self._lin_entries:
+            self._initiate_tallied(slots_f, nodes_f, reps_f, ranks_f)
+            return
         # Group the round's initiations by latency with one radix sort, then
         # hand each completion round a contiguous slice (payloads are
         # gathered in sorted order, so the slices alias one snapshot block).
-        sortkeys_f = self._latencies_sortkey[slots_f]
-        order = np.argsort(sortkeys_f, kind="stable")
-        slots_s = slots_f[order]
+        order = np.argsort(ranks_f, kind="stable")
         nodes_s = nodes_f[order]
         reps_s = reps_f[order]
-        latencies_s = sortkeys_f[order]
-        responders_s = self._indices[slots_s]
+        ranks_s = ranks_f[order]
+        responders_s = self._indices[slots_f[order]]
         if self._words == 1:
             flat = self._know.reshape(-1)
-            lin_i = nodes_s * reps + reps_s
-            lin_j = responders_s * reps + reps_s
-            if self._bool_payloads:
-                payload_i = flat[lin_i] != 0
-                payload_j = flat[lin_j] != 0
-            else:
-                payload_i = flat[lin_i]
-                payload_j = flat[lin_j]
+            payload_i = flat[nodes_s * reps + reps_s]
+            payload_j = flat[responders_s * reps + reps_s]
         else:
             payload_i = self._know[nodes_s, reps_s]
             payload_j = self._know[responders_s, reps_s]
-        if self._lin_entries:
-            first, second = lin_i, lin_j
-        else:
-            first, second = nodes_s, responders_s
-        boundaries = np.nonzero(np.diff(latencies_s))[0] + 1
+        self._enqueue(ranks_s, (nodes_s, responders_s, reps_s, payload_i, payload_j))
+
+    def _enqueue(self, ranks: np.ndarray, columns: tuple) -> None:
+        """File latency-sorted exchange columns under their completion rounds."""
+        boundaries = np.flatnonzero(np.diff(ranks)) + 1
         starts = [0, *boundaries.tolist()]
-        ends = [*boundaries.tolist(), latencies_s.size]
+        ends = [*boundaries.tolist(), ranks.size]
+        values = self._latency_values
         for lo, hi in zip(starts, ends):
-            completes_at = self.round + int(latencies_s[lo])
-            self._due.setdefault(completes_at, []).append(
-                (
-                    first[lo:hi],
-                    second[lo:hi],
-                    reps_s[lo:hi],
-                    payload_i[lo:hi],
-                    payload_j[lo:hi],
+            completes_at = self.round + int(values[ranks[lo]])
+            self._due.setdefault(completes_at, []).append(tuple(part[lo:hi] for part in columns))
+
+    def _initiate_tallied(
+        self,
+        slots_f: np.ndarray,
+        nodes_f: np.ndarray,
+        reps_f: np.ndarray,
+        ranks_f: np.ndarray,
+    ) -> None:
+        """Tally a static round's initiations and pipeline the informative ones.
+
+        Every exchange, gathered in draw order, is counted by (latency,
+        replication, payload size) with one ``bincount`` and each latency's
+        row lands in its completion round's tally.  Knowledge only grows
+        (and a recovered SIR cell ignores payloads), so an exchange whose
+        two snapshots are equal can change neither endpoint: only those
+        that differ are sorted by latency and carried to
+        :meth:`_deliver_linear`.  The round's record keeps every exchange's
+        slot, latency and size for a later resync.
+        """
+        reps = self.reps
+        responders_f = np.take(self._indices, slots_f)
+        if reps == 1:
+            lin_i, lin_j = nodes_f, responders_f
+        else:
+            lin_i = nodes_f * reps + reps_f
+            lin_j = responders_f * reps + reps_f
+        flat = self._know.reshape(-1)
+        if self._bool_payloads:
+            flat = flat != 0
+        # One replication with every node acting: lin_i is arange(n).
+        payload_i = flat if reps == 1 and lin_i.size == flat.size else np.take(flat, lin_i)
+        payload_j = np.take(flat, lin_j)
+        if self._bool_payloads:
+            sizes = payload_i.view(np.uint8) + payload_j.view(np.uint8)
+            levels = 3
+        else:
+            sizes = np.bitwise_count(payload_i) + np.bitwise_count(payload_j)
+            levels = 2 * min(64, len(self._rumors)) + 1
+        values = self._latency_values
+        keys = ranks_f.astype(np.intp)
+        if reps > 1:
+            keys *= reps
+            keys += reps_f
+        keys *= levels
+        keys += sizes
+        counts = np.bincount(keys, minlength=values.size * reps * levels)
+        counts = counts.reshape(values.size, reps, levels)
+        present = np.flatnonzero(counts.any(axis=(1, 2))).tolist()
+        for rank in present:
+            completes_at = self.round + int(values[rank])
+            tally = self._tallies.get(completes_at)
+            if tally is None:
+                tally = self._tallies[completes_at] = np.zeros(
+                    (reps, _SIZE_LEVELS), dtype=np.int64
                 )
+            tally[:, :levels] += counts[rank]
+        # Kept columns hold slots and flattened indices: int32 where they fit.
+        index = np.int32 if max(self._indices.size, self._know.size) < 2**31 else np.int64
+        informative = np.flatnonzero(payload_i != payload_j)
+        if informative.size:
+            informative = informative[np.argsort(ranks_f[informative], kind="stable")]
+            self._enqueue(
+                ranks_f[informative],
+                (
+                    lin_i[informative].astype(index),
+                    lin_j[informative].astype(index),
+                    payload_i[informative],
+                    payload_j[informative],
+                ),
             )
+        self._records.append(
+            _InitiationRecord(
+                self.round,
+                self.round + int(values[present[-1]]),
+                slots_f.astype(index),
+                ranks_f,
+                values,
+                sizes,
+                None if reps == 1 else np.bincount(reps_f, minlength=reps),
+            )
+        )
 
     def run_batch(
         self,
@@ -1022,6 +1231,12 @@ class BatchEngine:
             self._sir_ensure()
         self._lin_entries = self._lin_due and self._words == 1
         self._bool_payloads = self._lin_entries and len(self._rumors) == 1
+
+    def _drain(self) -> None:
+        """Discard every in-flight exchange: pipeline, tallies and records."""
+        self._due.clear()
+        self._tallies.clear()
+        self._records.clear()
 
     def _finish(self, mask: np.ndarray) -> None:
         """Freeze replications whose stop predicate turned true this round."""

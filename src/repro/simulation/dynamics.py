@@ -331,10 +331,14 @@ def drop_pending(
     ``due`` maps a completion round to batches of array columns whose first
     two columns are initiator and responder node indices (multiplied by
     ``stride`` when the columns hold flattened ``node * stride + rep``
-    positions).  The removed keys are sorted once; each batch is
-    prefiltered by a per-node "initiator touched" mask and only the
-    candidates are looked up.  Returns the dropped rows as one tuple of
-    concatenated columns, or ``None`` when nothing was in flight over them.
+    positions, as the batch kernel's static entries do).  The removed keys
+    are sorted once; each batch is prefiltered by a per-node "initiator
+    touched" mask and only the candidates are looked up.  Returns the
+    dropped rows as one tuple of concatenated columns, or ``None`` when
+    nothing was in flight over them.  What they count for is the caller's:
+    on static runs the kernel's pipeline holds only the informative
+    exchanges and its per-round records have already counted every lost
+    exchange, so it ignores them.
     """
     removed_keys = np.sort(
         np.fromiter(((i << 32) | j for i, j in removed), dtype=np.int64, count=len(removed))
@@ -347,11 +351,11 @@ def drop_pending(
         changed = False
         for entry in batches:
             initiators, responders = entry[0], entry[1]
-            if stride != 1:  # pragma: no cover - flattened columns only occur on static runs
+            if stride != 1:
                 initiators, responders = initiators // stride, responders // stride
             candidates = np.flatnonzero(touched[initiators])
             if candidates.size:
-                keys = (initiators[candidates] << 32) | responders[candidates]
+                keys = (initiators[candidates].astype(np.int64) << 32) | responders[candidates]
                 candidates = candidates[sorted_contains(removed_keys, keys)]
             if not candidates.size:
                 kept.append(entry)

@@ -2,12 +2,13 @@
 
 :class:`EdgeEngine` runs one large trajectory at numpy speed: every round is
 a handful of whole-array operations over the CSR edge set (one uniform draw
-vector mapped to neighbour slots, one stable latency argsort that hands each
-completion round a contiguous slice, one scatter of the delivered payloads
-into the knowledge bitplane).  Those rounds are exactly the rounds of
-:class:`~repro.simulation.batch_engine.BatchEngine`, so this module does not
-re-implement them: :class:`EdgeEngine` *is* the batch kernel fixed at
-``reps=1``, and adds only the single-run
+vector mapped to neighbour slots; on a static run, one ``bincount`` tallying
+the round's exchanges by latency and payload size and a radix sort of just
+the informative ones, those whose two payloads differ; one scatter of the
+delivered payloads into the knowledge bitplane).  Those rounds are exactly
+the rounds of :class:`~repro.simulation.batch_engine.BatchEngine`, so this
+module does not re-implement them: :class:`EdgeEngine` *is* the batch
+kernel fixed at ``reps=1``, and adds only the single-run
 :class:`~repro.simulation.protocol.EngineProtocol` surface — ``step`` and
 ``run`` under a :class:`~repro.simulation.protocol.RoundPolicySpec`,
 boolean completion predicates, a live :attr:`~EdgeEngine.metrics` object,
@@ -225,7 +226,7 @@ class EdgeEngine(BatchEngine):
             self.step(policy)
             if stop_condition(self):
                 if drain:
-                    self._due.clear()
+                    self._drain()
                 return self._complete()
         raise RuntimeError(
             f"simulation did not reach the stop condition within {max_rounds} rounds"

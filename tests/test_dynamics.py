@@ -411,7 +411,7 @@ class TestNoOpSchedule:
 # Direct mutation mid-run: safe resync or loud failure (bugfix)
 # ----------------------------------------------------------------------
 class TestMidRunMutation:
-    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    @pytest.mark.parametrize("backend", ["reference", "fast", "edge"])
     def test_edge_removal_between_steps_is_resynced(self, backend):
         """The engine must not serve pre-mutation adjacency from a stale cache."""
         graph = path_graph(3)
@@ -429,7 +429,7 @@ class TestMidRunMutation:
             engine.step(spec)
         assert engine.dissemination_complete(rumor)
 
-    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    @pytest.mark.parametrize("backend", ["reference", "fast", "edge"])
     def test_node_removal_between_steps_raises(self, backend):
         graph = path_graph(4)
         engine, _ = create_engine(graph, backend, capability=PolicyCapability.UNIFORM_RANDOM)
@@ -440,7 +440,7 @@ class TestMidRunMutation:
         with pytest.raises(GraphError, match="removed"):
             engine.step(spec)
 
-    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    @pytest.mark.parametrize("backend", ["reference", "fast", "edge"])
     def test_appended_node_between_steps_is_adopted(self, backend):
         graph = path_graph(3)
         engine, _ = create_engine(graph, backend, capability=PolicyCapability.UNIFORM_RANDOM)

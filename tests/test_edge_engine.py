@@ -5,8 +5,9 @@ The load-bearing contract: a single run on ``engine="edge"`` is
 neighbour draws are seeded ``derive_seed(seed, "rep", 0)`` — i.e.
 replication 0 of the batched form.  These tests assert it over the whole
 bundled scenario library (dynamics, faults, and flooding included), pin
-the suppressed/lost metric columns on the crash and churn scenarios,
-replay golden flooding fixtures on the edge backend, and cover the
+the suppressed/lost metric columns on the crash and churn scenarios and
+under edges cut between steps of a static run, replay golden flooding
+fixtures on the edge backend, and cover the
 dispatch surface (auto-selection from the node-count threshold, the
 replication rejection) and the up-front memory guard.
 """
@@ -15,6 +16,8 @@ from __future__ import annotations
 
 import json
 import os
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,12 +37,15 @@ from repro.scenario import (
 )
 from repro.simulation import (
     EDGE_AUTO_NODE_THRESHOLD,
+    BatchEngine,
+    BatchPolicySpec,
     EdgeEngine,
     EngineSelectionError,
     FastEngine,
     PolicyCapability,
     RoundPolicySpec,
     SimulationError,
+    replication_rngs,
     resolve_backend,
     set_default_backend,
 )
@@ -139,6 +145,107 @@ def test_edge_all_to_all_parity_beyond_64_rumors_multi_word_planes():
     metrics_f = fast.run(numpy_spec("all", 3), lambda e: e.all_to_all_complete())
     assert metrics_e.as_dict() == metrics_f.as_dict()
     assert metrics_e.max_payload_size > 64  # really multi-word
+
+
+def cut_edges(graph, seed, count=12):
+    """Remove up to ``count`` seeded edges of ``graph``, keeping it connected."""
+    rng = random.Random(seed)
+    edges = sorted(((e.u, e.v) for e in graph.edges()), key=repr)
+    for u, v in rng.sample(edges, len(edges)):
+        if count == 0:
+            break
+        latency = graph.latency(u, v)
+        graph.remove_edge(u, v)
+        if graph.is_connected():
+            count -= 1
+        else:
+            graph.add_edge(u, v, latency=latency)
+
+
+def cutting_stop(done, round_k, seed):
+    """A stop condition that cuts edges from the engine's graph after round k."""
+    cut = []
+
+    def stop(engine):
+        if engine.round == round_k and not cut:
+            cut_edges(engine.graph, seed)
+            cut.append(round_k)
+        return done(engine)
+
+    return stop
+
+
+@pytest.mark.parametrize("task", ["one-to-all", "all-to-all"])
+@pytest.mark.parametrize("round_k", [2, 4, 6])
+@pytest.mark.parametrize("seed", range(6))
+def test_edge_matches_fast_when_edges_are_cut_mid_run(seed, round_k, task):
+    # Exchanges in flight over the cut edges are lost on both backends,
+    # whether or not their payloads could still inform anyone.
+    graph = weighted_erdos_renyi(40 + 4 * seed, 0.15, seed=seed)
+    edge, fast = engine_pair(graph)
+    results = []
+    for engine in (edge, fast):
+        if task == "one-to-all":
+            rumor = engine.seed_rumor(graph.nodes()[0])
+            done = lambda e, rumor=rumor: e.dissemination_complete(rumor)
+        else:
+            engine.seed_all_rumors()
+            done = lambda e: e.all_to_all_complete()
+        results.append(engine.run(numpy_spec("all", seed), cutting_stop(done, round_k, seed)))
+    metrics_e, metrics_f = results
+    assert metrics_e.as_dict() == metrics_f.as_dict()
+    assert metrics_e.edge_activations == metrics_f.edge_activations
+
+
+@pytest.mark.parametrize("task", ["one-to-all", "all-to-all"])
+def test_batch_columns_match_fast_when_edges_are_cut_mid_run(task):
+    # The same cut on the kernel at three replications: each column's
+    # losses come out of its own tallies, and columns that finish early
+    # stop paying for them.
+    graph = weighted_erdos_renyi(48, 0.15, seed=7)
+    batch = BatchEngine(graph.copy(), reps=3)
+    if task == "one-to-all":
+        rumor = batch.seed_rumor(graph.nodes()[0])
+        done = lambda e: e.dissemination_complete_mask(rumor)
+    else:
+        batch.seed_all_rumors()
+        done = lambda e: e.all_to_all_complete_mask()
+    rngs = tuple(replication_rngs(7, 3))
+    policy = BatchPolicySpec(select="uniform-random", gate="all", rngs=rngs)
+    columns = batch.run_batch(policy, cutting_stop(done, 4, 7))
+    for rep, column in enumerate(columns):
+        fast = FastEngine(graph.copy())
+        if task == "one-to-all":
+            rumor = fast.seed_rumor(graph.nodes()[0])
+            done = lambda e: e.dissemination_complete(rumor)
+        else:
+            fast.seed_all_rumors()
+            done = lambda e: e.all_to_all_complete()
+        spec = RoundPolicySpec(
+            select="uniform-random", gate="all", rng=make_numpy_rng(7, "rep", rep)
+        )
+        metrics = fast.run(spec, cutting_stop(done, 4, 7))
+        assert column.as_dict() == metrics.as_dict()
+        assert column.edge_activations == metrics.edge_activations
+
+
+@pytest.mark.parametrize("drain", [True, False])
+def test_edge_matches_fast_across_two_runs_on_one_engine(drain):
+    # The second run inherits the first one's pipeline when it is not
+    # drained, and its second rumor widens every payload past one bit.
+    graph = weighted_erdos_renyi(48, 0.15, seed=21)
+    first, second = graph.nodes()[0], graph.nodes()[-1]
+    edge, fast = engine_pair(graph)
+    phases = []
+    for engine in (edge, fast):
+        spec = numpy_spec("all", 21)
+        rumor = engine.seed_rumor(first)
+        one = engine.run(spec, lambda e: e.dissemination_complete(rumor), drain=drain)
+        snapshot = (one.as_dict(), Counter(one.edge_activations))
+        late = engine.seed_rumor(second)
+        two = engine.run(spec, lambda e: e.dissemination_complete(late), drain=drain)
+        phases.append((snapshot, two.as_dict(), Counter(two.edge_activations)))
+    assert phases[0] == phases[1]
 
 
 def test_edge_local_broadcast_parity():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs import CSRGraph, GraphError, IndexedGraph, WeightedGraph, weighted_erdos_renyi
 
@@ -214,6 +216,18 @@ class TestCSRGraph:
         assert not split.is_connected()
         assert not parts.is_connected()
 
+    def test_lookup_answers_like_the_label_index(self):
+        graph = WeightedGraph()
+        for u, v in ((3, 1), (1, 2), (2, "x"), (0, 3)):
+            graph.add_edge(u, v, 1)
+        csr_graph = CSRGraph.from_weighted(graph)
+        snapshot = csr_graph.indexed()
+        labels = graph.nodes()
+        for label in (*labels, 4, -1, "y", 2.0):
+            expected = labels.index(label) if label in labels else None
+            assert snapshot.lookup(label) == expected
+            assert csr_graph.has_node(label) == (expected is not None)
+
     def test_mutation_materialises_then_behaves_like_dict_graph(self, pair):
         dict_graph, csr_graph = pair
         u, v = next(
@@ -232,3 +246,31 @@ class TestCSRGraph:
         after, reference = csr_graph.indexed(), dict_graph.indexed()
         for attr in ("indptr", "indices", "latencies", "slot_edge_id"):
             assert np.array_equal(getattr(after, attr), getattr(reference, attr)), attr
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs on ``0..n-1`` (n >= 1): random edges over an optional spanning
+    tree, plus optional isolated nodes appended after them."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    graph = WeightedGraph()
+    for node in range(n):
+        graph.add_node(node)
+    if draw(st.booleans()):
+        for node in range(1, n):
+            graph.add_edge(node, draw(st.integers(0, node - 1)), 1)
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    for u, v in pairs:
+        if u != v and not graph.has_edge(u, v):
+            graph.add_edge(u, v, 1 + (u * v) % 3)
+    for node in range(n, n + draw(st.integers(0, 2))):
+        graph.add_node(node)
+    return graph
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=small_graphs())
+def test_property_csr_bfs_matches_dict_dfs(graph):
+    # The vectorized frontier BFS (narrow frontiers deduplicated by sorting,
+    # wide ones by a node mask) decides connectivity exactly like the dict DFS.
+    assert CSRGraph.from_weighted(graph).is_connected() == graph.is_connected()
