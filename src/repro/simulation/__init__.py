@@ -29,7 +29,8 @@ running, completion queries), with four registered backends:
 * ``"edge"`` — :class:`~repro.simulation.edge_engine.EdgeEngine`: the
   batch engine's numpy kernel fixed at ``reps=1`` behind the single-run
   surface, so one large run is vectorized across the whole edge set (one
-  numpy draw vector, one latency-argsort and one bitwise scatter per
+  numpy draw vector, one ``bincount`` tally of the round's exchanges, a
+  radix sort of just the informative ones and one bitwise scatter per
   round).  Runs the same declarative
   :class:`~repro.simulation.protocol.RoundPolicySpec` surface as the fast
   backend and is bit-for-bit the numpy-mode fast run seeded
@@ -113,7 +114,6 @@ from .engine import ExchangePolicy, GossipEngine, NodeView, PendingExchange
 from .fast_engine import FastEngine
 from .faults import (
     FaultPlan,
-    FaultyEngine,
     compile_fault_plan,
     random_crash_plan,
     random_edge_drop_plan,
@@ -161,7 +161,6 @@ __all__ = [
     "FastEngine",
     "FaultPlan",
     "FaultState",
-    "FaultyEngine",
     "GossipEngine",
     "KnowledgeState",
     "NodeView",

@@ -21,21 +21,26 @@ operations over the CSR edge set:
   draw-and-map a sequential numpy-mode ``FastEngine`` run performs, which
   is what makes batched column ``r`` **bit-for-bit equal** to that
   sequential run;
-* **latency gating** batches in-flight exchanges by completion round: one
-  radix sort over each slot's latency code hands every completion round a
-  contiguous slice, with payload snapshots gathered at initiation time.
-  Static non-blocking single-word runs split this in two: a per-(completion
-  round, replication) *tally* counts every exchange by payload size (all
-  the message and payload counters need), and only the *informative*
+* **latency gating** splits every round's exchanges in two.  A
+  per-(completion round, replication) *tally* counts each exchange by
+  payload size, in a delivered and a *suppressed* plane: that is all the
+  message, payload and suppression counters need.  Only the *informative*
   exchanges — whose two payload snapshots differ, the only ones that can
-  change knowledge — are sorted and carried to delivery; a compact
-  per-round record of every exchange lets a topology resync take lost
-  ones back out of their tallies;
+  change knowledge — are radix-sorted by latency code and carried to
+  delivery.  A compact per-round record of every exchange lets a topology
+  resync take lost ones back out of their tallies, and lets a fault that
+  fires mid-flight move pending ones into the suppressed plane;
 * **dynamics and faults** ride the existing shared applier: the one
   scenario-seeded schedule mutates the one shared graph (all replications
   see the same topology trajectory, by construction of the scenario seed
   derivation), and crash/edge-fault state applies as node/edge masks across
-  every replication column.
+  every replication column.  An exchange toward a crashed node or over a
+  faulted edge is tallied as suppressed when it starts; the records move
+  the ones a later fault catches in flight, and the informative ones are
+  filtered by the same masks at delivery;
+* **blocking** keeps one busy-until round per (replication, node): set when
+  the node initiates, cleared when its exchange is lost to a resync, and
+  left in place by a drain, as the scalar backends' outstanding counts are.
 
 Replications complete independently: a column whose stop predicate holds is
 frozen — it stops initiating and drawing, its still-pending exchanges are
@@ -103,31 +108,41 @@ EDGE_ACTIVATION_SLOT_LIMIT = 2_000_000
 #: Default memory budget for the engine's arrays (bytes).
 DEFAULT_MEMORY_LIMIT = 4 * 1024**3
 
-#: Payload-size levels of a static tally row: two one-word snapshots carry
-#: 0..128 rumor bits between them.
-_SIZE_LEVELS = 2 * 64 + 1
-
 
 def _activation_buffer_size(n: int, reps: int) -> int:
     """Ring-buffer capacity: about 24 rounds of (node, rep) activations, within [2^16, 2^23]."""
     return min(8_388_608, max(65_536, 24 * n * reps))
 
 
-class _InitiationRecord:
-    """One static round's initiations, kept until its last exchange completes.
+def _tally_width(words: int) -> int:
+    """Payload-size levels of a tally row: two snapshots carry 0..128*words rumor bits."""
+    return 2 * 64 * words + 1
 
-    ``first`` holds the round's CSR slots until a structural resync turns
-    them into initiator indices (``second`` then holds the responders);
-    ``ranks`` index ``values`` for each exchange's latency and ``sizes``
-    hold its payload size, so a resync can find every pending exchange
-    over a removed pair and take it back out of its tally.  Exchanges are
-    in replication-major order, ``rep_counts`` of them per replication
-    (``None`` at one replication).
+
+#: Tally planes of a recorded exchange.  A lost one has left its tally.
+_DELIVERED, _SUPPRESSED, _LOST = 0, 1, 2
+
+
+class _InitiationRecord:
+    """One round's initiations, kept until its last exchange completes.
+
+    ``first`` holds the round's CSR slots until a resync pins them to
+    initiator indices (``second`` then holds the responders); ``ranks``
+    index ``values`` for each exchange's latency, ``sizes`` hold its
+    payload size and ``planes`` (``None`` while every exchange is
+    delivered) its tally plane, so a resync or a fault can find a pending
+    exchange and move it out of its tally slot.  Exchanges are in
+    replication-major order; ``rep_ends`` holds each replication's end
+    position (``None`` at one replication).
     """
 
-    __slots__ = ("round", "last", "first", "second", "ranks", "values", "sizes", "rep_counts")
+    __slots__ = (
+        "round", "last", "first", "second", "ranks", "values", "sizes", "planes", "rep_ends"
+    )
 
-    def __init__(self, round_: int, last: int, slots, ranks, values, sizes, rep_counts) -> None:
+    def __init__(
+        self, round_: int, last: int, slots, ranks, values, sizes, planes, rep_ends
+    ) -> None:
         self.round = round_
         self.last = last
         self.first = slots
@@ -135,23 +150,34 @@ class _InitiationRecord:
         self.ranks = ranks
         self.values = values
         self.sizes = sizes
-        self.rep_counts = rep_counts
+        self.planes: Optional[np.ndarray] = planes
+        self.rep_ends = rep_ends
 
-    def rep_ids(self) -> np.ndarray:
-        """The replication of every exchange, in record order."""
-        if self.rep_counts is None:
-            return np.zeros(self.sizes.size, dtype=np.int64)
-        return np.repeat(np.arange(self.rep_counts.size), self.rep_counts)
+    def rep_of(self, positions: np.ndarray) -> np.ndarray:
+        """The replication of the exchanges at ``positions``."""
+        if self.rep_ends is None:
+            return np.zeros(positions.size, dtype=np.int64)
+        return np.searchsorted(self.rep_ends, positions, side="right")
 
-    def keep(self, kept: np.ndarray, rep_ids: np.ndarray) -> None:
-        """Retain only the exchanges where the boolean ``kept`` holds."""
-        self.first = self.first[kept]
-        if self.second is not None:
-            self.second = self.second[kept]
-        self.ranks = self.ranks[kept]
-        self.sizes = self.sizes[kept]
-        if self.rep_counts is not None:
-            self.rep_counts = np.bincount(rep_ids[kept], minlength=self.rep_counts.size)
+    def planes_of(self, positions: np.ndarray) -> np.ndarray:
+        """The tally plane of the exchanges at ``positions``."""
+        if self.planes is None:
+            return np.zeros(positions.size, dtype=np.uint8)
+        return self.planes[positions]
+
+    def completes(self, positions: np.ndarray) -> np.ndarray:
+        """The completion round of the exchanges at ``positions``."""
+        return self.round + self.values[self.ranks[positions]]
+
+    def pairs(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The int64 (initiator, responder) columns of pinned exchanges at ``positions``."""
+        return self.first[positions].astype(np.int64), self.second[positions].astype(np.int64)
+
+    def mark(self, positions: np.ndarray, plane: int) -> None:
+        """Put the exchanges at ``positions`` in ``plane``."""
+        if self.planes is None:
+            self.planes = np.zeros(self.sizes.size, dtype=np.uint8)
+        self.planes[positions] = plane
 
 
 @register_engine("batch")
@@ -213,10 +239,10 @@ class BatchEngine:
         self._know = np.zeros((n, reps, 1), dtype=np.uint64)
         # Per-(replication, node) state is laid out replication-major so
         # per-round broadcasts and the per-replication draw rows stay
-        # contiguous.  Outstanding-exchange counts are only consulted by
-        # the blocking rule, so they are tracked only when blocking is on.
-        self._outstanding = np.zeros((reps, n), dtype=np.int64) if blocking else None
-        self._cursors = np.zeros((reps, n), dtype=np.int64)
+        # contiguous.  Busy-until rounds exist only under the blocking rule,
+        # and round-robin cursors from the first round-robin step on.
+        self._busy = np.zeros((reps, n), dtype=np.int64) if blocking else None
+        self._cursors: Optional[np.ndarray] = None
         # Cache of the acting pattern and its nonzero indices for ungated,
         # non-blocking rounds: the pattern there is a pure function of the
         # live-replication set, the crash mask, and the degree vector, so a
@@ -253,27 +279,26 @@ class BatchEngine:
         # Completion bookkeeping.
         self._active = np.ones(reps, dtype=bool)
         self._completion_round = np.full(reps, -1, dtype=np.int64)
-        # In-flight exchanges, batched by completion round: each entry is
-        # (initiator idx, responder idx, rep idx, payload_i, payload_j) —
-        # or, on static non-blocking single-word runs, the informative
-        # exchanges only, with the initiator and responder columns holding
-        # flattened (node * reps + rep) indices so delivery can scatter
-        # without recomputing them.  Those runs also keep every exchange's
-        # (replication, payload size) count per completion round in
-        # ``_tallies`` ((reps, _SIZE_LEVELS) rows) and one compact record
-        # per in-flight initiation round in ``_records``.
+        # In-flight exchanges.  ``_tallies`` counts every exchange per
+        # completion round as a (reps, 2, _tally_width(words)) row over
+        # (replication, delivered/suppressed plane, payload size);
+        # ``_due`` carries the informative ones by completion round as
+        # (initiator, responder, payload_i, payload_j) entries whose index
+        # columns are flattened (node * reps + rep) knowledge rows; and
+        # ``_records`` keeps one compact record per in-flight initiation
+        # round.
         self._due: dict[int, list[tuple]] = {}
         self._tallies: dict[int, np.ndarray] = {}
         self._records: list[_InitiationRecord] = []
-        self._lin_due = dynamics is None and not blocking
-        self._lin_entries = False
-        # Single-rumor static runs carry one-bit payloads; storing them as
+        # Single-rumor one-word runs carry one-bit payloads; storing them as
         # booleans shrinks the in-flight pipeline's memory traffic 8x.
         self._bool_payloads = False
-        # Fault state: label-based sets (shared applier) + index mirrors.
+        # Fault state: label-based sets (shared applier) + index mirrors,
+        # and whether a fault fired since the records were last scanned.
         self._fault_state = FaultMirror(self)
         self._crashed_mask = np.zeros(n, dtype=bool)
         self._dropped_keys = np.empty(0, dtype=np.int64)  # sorted directed pair keys
+        self._faults_fired = False
         # Reused per-round work buffers (allocation is expensive relative
         # to arithmetic on small-bandwidth hosts).
         self._acting_buffer = np.empty((reps, n), dtype=bool)
@@ -304,6 +329,9 @@ class BatchEngine:
         self._starts = self._indptr[:-1]
         if self._track_activations:
             self._slot_edge_ids = np.asarray(idx.slot_edge_id, dtype=np.int64)
+        # Per slot: does an exchange over it start out suppressed?  Built on
+        # demand and kept until a fault fires or the snapshot changes.
+        self._slot_suppressed: Optional[np.ndarray] = None
         self._set_latency_ranks()
 
     def _set_latency_ranks(self) -> None:
@@ -334,12 +362,12 @@ class BatchEngine:
         Five terms: the ``(n, reps, words)`` knowledge plane, the
         ``(E, reps)`` edge-count matrix and the two int32 activation ring
         buffers (zero when activations are not tracked), the ``(reps, n)``
-        acting and draw buffers, and the worst-case in-flight pipeline —
-        every (node, replication) keeps one exchange per round alive for up
-        to the maximum edge latency, each carrying three index columns and
-        two payload snapshots, plus (static runs) an 8-byte record share per
-        exchange and one size-level tally row per replication and
-        completion round.
+        acting and draw buffers (and busy-until rounds under blocking), and
+        the worst-case in-flight pipeline — every (node, replication) keeps
+        one exchange per round alive for up to the maximum edge latency,
+        each with a record share (slot, latency code, size and plane) and,
+        if informative, two index columns and two payload snapshots, plus
+        one two-plane tally row per replication and completion round.
         """
         n, reps = self._idx.num_nodes, self.reps
         max_latency = max(1, int(self._latencies.max()) if self._latencies.size else 1)
@@ -348,9 +376,9 @@ class BatchEngine:
             "knowledge": n * reps * words * 8,
             "edge-counts": self._idx.num_edges * reps * 8 if tracked else 0,
             "activation-buffers": _activation_buffer_size(n, reps) * 8 if tracked else 0,
-            "round-buffers": reps * n * 9,
+            "round-buffers": reps * n * (17 if self.blocking else 9),
             "pipeline": n * reps * max_latency * (32 + 16 * words)
-            + max_latency * reps * _SIZE_LEVELS * 8,
+            + max_latency * reps * 2 * _tally_width(words) * 8,
         }
         estimate["total"] = sum(estimate.values())
         return estimate
@@ -423,10 +451,30 @@ class BatchEngine:
         return seeded
 
     def _grow_plane(self, words: int) -> None:
-        """Widen the knowledge plane to ``words`` uint64 words, if the guard allows."""
+        """Widen the knowledge plane to ``words`` uint64 words, if the guard allows.
+
+        The one place the in-flight state changes layout: pending payloads
+        (booleans or single words) become ``(k, words)`` rows and every
+        tally gains the size levels of the new words.
+        """
         self._check_memory(words=words, action=f"growing to {words * 64} rumor bits")
         pad = np.zeros(self._know.shape[:2] + (words - self._words,), dtype=np.uint64)
         self._know = np.concatenate([self._know, pad], axis=2)
+
+        def widen(payload: np.ndarray) -> np.ndarray:
+            wide = np.zeros((payload.shape[0], words), dtype=np.uint64)
+            wide[:, : self._words] = payload.reshape(payload.shape[0], -1)
+            return wide
+
+        for completes_at, batches in self._due.items():
+            self._due[completes_at] = [
+                (lin_i, lin_j, widen(payload_i), widen(payload_j))
+                for lin_i, lin_j, payload_i, payload_j in batches
+            ]
+        for completes_at, tally in self._tallies.items():
+            wide = np.zeros(tally.shape[:2] + (_tally_width(words),), dtype=np.int64)
+            wide[:, :, : tally.shape[2]] = tally
+            self._tallies[completes_at] = wide
         self._words = words
 
     def track_curve(self, rumor: Rumor) -> None:
@@ -538,24 +586,11 @@ class BatchEngine:
         if self._crashed_mask.any():
             know_any = know_any[~self._crashed_mask]
         quiescent = ~know_any.any(axis=0)
-        if quiescent.any() and (self._due or self._tallies):
-            inflight = np.zeros(self.reps, dtype=bool)
-            # A tallied exchange of nonzero size carries the rumor.
+        if quiescent.any():
+            # A pending exchange of nonzero size carries the rumor, whether
+            # it will deliver or is suppressed.
             for tally in self._tallies.values():
-                inflight |= tally[:, 1:].any(axis=1)
-            for batches in self._due.values():
-                for entry in batches:
-                    if self._lin_entries:  # informative: one side knows the rumor
-                        inflight[entry[0] % self.reps] = True
-                        continue
-                    rep_ids, payload_i, payload_j = entry[2], entry[3], entry[4]
-                    if payload_i.dtype == np.bool_:
-                        infectious = payload_i | payload_j
-                    else:
-                        infectious = (payload_i != 0) | (payload_j != 0)
-                    if infectious.any():
-                        inflight[rep_ids[infectious]] = True
-            quiescent &= ~inflight
+                quiescent &= ~tally[:, :, 1:].any(axis=(1, 2))
         return quiescent
 
     def sir_stats(self) -> list[dict]:
@@ -581,10 +616,48 @@ class BatchEngine:
         """Mask a newly crashed node out of every replication column."""
         self._crashed_mask[i] = True
         self._mask_epoch += 1
+        self._faults_fired = True
+        self._slot_suppressed = None
 
     def _on_edge_fault(self, i: int, j: int) -> None:
         """Register a faulted edge as a pair of directed suppression keys."""
         self._dropped_keys = np.union1d(self._dropped_keys, [(i << 32) | j, (j << 32) | i])
+        self._faults_fired = True
+        self._slot_suppressed = None
+
+    def _faulted(self, initiators: np.ndarray, responders: np.ndarray) -> np.ndarray:
+        """Which exchanges between the index columns the fault masks suppress."""
+        hit = self._crashed_mask[initiators] | self._crashed_mask[responders]
+        if self._dropped_keys.size:
+            keys = (initiators.astype(np.int64) << 32) | responders
+            hit |= sorted_contains(self._dropped_keys, keys)
+        return hit
+
+    def _suppress_pending(self) -> None:
+        """Move pending exchanges that new faults touch into the suppressed plane.
+
+        One scan of the records per round in which faults fired; exchanges
+        already suppressed or lost stay where they are.
+        """
+        self._pin_records()
+        moved = []
+        for record in self._records:
+            pending = np.flatnonzero(record.round + record.values[record.ranks] >= self.round)
+            pending = pending[record.planes_of(pending) == _DELIVERED]
+            hit = pending[self._faulted(*record.pairs(pending))]
+            if hit.size:
+                moved.append((record.completes(hit), record.rep_of(hit), record.sizes[hit]))
+                record.mark(hit, _SUPPRESSED)
+        if moved:
+            completes, reps, sizes = (np.concatenate(parts) for parts in zip(*moved))
+            self._retally(completes, reps, np.full(reps.size, _DELIVERED), sizes, -1)
+            self._retally(completes, reps, np.full(reps.size, _SUPPRESSED), sizes, 1)
+
+    def _retally(self, completes, reps, planes, sizes, delta: int) -> None:
+        """Add ``delta`` to the tally slot of every listed exchange."""
+        for completes_at in np.unique(completes).tolist():
+            at = completes == completes_at
+            np.add.at(self._tallies[completes_at], (reps[at], planes[at], sizes[at]), delta)
 
     # ------------------------------------------------------------------
     # Topology changes (dynamics events and direct graph mutation)
@@ -601,6 +674,9 @@ class BatchEngine:
         if self.graph.version != self._graph_version:
             self._resync_topology(severed, events_only)
         self._fault_state.replay()
+        if self._faults_fired:
+            self._faults_fired = False
+            self._suppress_pending()
 
     def _resync_topology(self, severed: set, events_only: bool) -> None:
         """Re-snapshot the CSR core after the shared graph mutated.
@@ -632,9 +708,10 @@ class BatchEngine:
                 return np.concatenate([array, np.zeros(shape, dtype=array.dtype)], axis=axis)
 
             self._know = _pad(self._know, 0)
-            if self._outstanding is not None:
-                self._outstanding = _pad(self._outstanding, 1)
-            self._cursors = _pad(self._cursors, 1)
+            if self._busy is not None:
+                self._busy = _pad(self._busy, 1)
+            if self._cursors is not None:
+                self._cursors = _pad(self._cursors, 1)
             self._crashed_mask = _pad(self._crashed_mask, 0)
             if self._sir_infected_at is not None:
                 self._sir_infected_at = np.concatenate(
@@ -644,11 +721,7 @@ class BatchEngine:
         self._acting_cache = None
         # Records name exchanges by the retiring snapshot's slots: pin them
         # to index pairs before the slots die.
-        for record in self._records:
-            if record.second is None:
-                initiators, responders = self._record_pairs(record)
-                record.first = initiators.astype(np.int32)
-                record.second = responders.astype(np.int32)
+        self._pin_records()
         if removed:
             self._drop_pending_over(removed)
         self._idx = new
@@ -661,63 +734,75 @@ class BatchEngine:
     def _drop_pending_over(self, removed: set[tuple[int, int]]) -> None:
         """Drop in-flight exchanges travelling over removed directed pairs.
 
-        On static runs the records see every pending exchange, retired or
-        informative: they take the lost ones out of their tallies and count
-        them, and ``drop_pending`` only cuts the informative ones from the
-        pipeline.  Elsewhere the pipeline holds every exchange and its cut
-        is what gets counted.
+        The records see every pending exchange: they take the lost ones out
+        of their tallies (either plane: a suppressed exchange that a resync
+        cuts is lost) and free their blocked initiators, and
+        ``drop_pending`` cuts the informative ones from the pipeline.
         """
-        stride = self.reps if self._lin_entries else 1
-        dropped = drop_pending(self._due, removed, self._idx.num_nodes, stride)
-        # Completed replications' leftover exchanges are already drained in
-        # spirit — only live replications pay for losses.
-        if self._lin_entries:
-            rep_ids = self._untally_over(removed)
-        elif dropped is None:
-            return
-        else:
-            initiators, rep_ids = dropped[0], dropped[2]
-            if self._outstanding is not None:  # blocking runs never use flattened columns
-                np.subtract.at(self._outstanding, (rep_ids, initiators), 1)
-        lost = rep_ids[self._active[rep_ids]]
-        if lost.size:
-            self._lost += np.bincount(lost, minlength=self.reps)
-
-    def _record_pairs(self, record: _InitiationRecord) -> tuple[np.ndarray, np.ndarray]:
-        """A record's (initiator, responder) index columns, as int64."""
-        if record.second is None:  # CSR slots of the current snapshot
-            slots = record.first.astype(np.int64)
-            return np.searchsorted(self._indptr, slots, side="right") - 1, self._indices[slots]
-        return record.first.astype(np.int64), record.second.astype(np.int64)
-
-    def _untally_over(self, removed: set[tuple[int, int]]) -> np.ndarray:
-        """Take every pending recorded exchange over ``removed`` out of its tally.
-
-        Returns the replication of each exchange taken out; the records
-        forget them, so a later resync cannot count them again.
-        """
-        if not self._records:
-            return np.empty(0, dtype=np.int64)
-        taken: list[np.ndarray] = []
         removed_keys = np.sort(
             np.fromiter(((i << 32) | j for i, j in removed), dtype=np.int64, count=len(removed))
         )
+        reps = self.reps
+        if self._due:
+            lin_keys = removed_keys
+            if reps > 1:  # the same pair in every replication's knowledge rows
+                column = np.arange(reps, dtype=np.int64)
+                first = (removed_keys >> 32)[:, None] * reps + column
+                second = (removed_keys & np.int64(0xFFFFFFFF))[:, None] * reps + column
+                lin_keys = np.sort(((first << 32) | second).ravel())
+            drop_pending(self._due, lin_keys, self._idx.num_nodes * reps)
+        rep_ids, initiators = self._untally_over(removed_keys)
+        if self._busy is not None:
+            self._busy[rep_ids, initiators] = 0
+        # Completed replications' leftover exchanges are already drained in
+        # spirit — only live replications pay for losses.
+        lost = rep_ids[self._active[rep_ids]]
+        if lost.size:
+            self._lost += np.bincount(lost, minlength=reps)
+
+    def _pin_records(self) -> None:
+        """Turn every record's CSR slots into (initiator, responder) index pairs."""
         for record in self._records:
-            initiators, responders = self._record_pairs(record)
-            completes = record.round + record.values[record.ranks]
-            hit = (completes >= self.round) & sorted_contains(
-                removed_keys, (initiators << 32) | responders
-            )
-            if not hit.any():
+            if record.second is None:
+                slots = record.first
+                initiators = np.searchsorted(self._indptr, slots, side="right") - 1
+                record.first = initiators.astype(slots.dtype)
+                record.second = np.take(self._indices, slots).astype(slots.dtype)
+
+    def _untally_over(self, removed_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Take every pending recorded exchange over a removed pair out of its tally.
+
+        ``removed_keys`` are the sorted ``(i << 32) | j`` directed pair keys.
+        Each pinned record is prefiltered by a "touched initiator" mask, so
+        only candidates are looked up.  Returns the replication and the
+        initiator of each exchange taken out; the records mark them lost,
+        so a later resync cannot count them again.
+        """
+        self._pin_records()
+        touched = np.zeros(self._idx.num_nodes, dtype=bool)
+        touched[removed_keys >> 32] = True
+        taken = []
+        for record in self._records:
+            hit = np.flatnonzero(touched[record.first])
+            if not hit.size:
                 continue
-            rep_ids = record.rep_ids()
-            hit_reps, hit_sizes, hit_rounds = rep_ids[hit], record.sizes[hit], completes[hit]
-            for completes_at in np.unique(hit_rounds).tolist():
-                at = hit_rounds == completes_at
-                np.subtract.at(self._tallies[completes_at], (hit_reps[at], hit_sizes[at]), 1)
-            taken.append(hit_reps)
-            record.keep(~hit, rep_ids)
-        return np.concatenate(taken) if taken else np.empty(0, dtype=np.int64)
+            initiators, responders = record.pairs(hit)
+            planes = record.planes_of(hit)
+            over = sorted_contains(removed_keys, (initiators << 32) | responders)
+            over &= (record.completes(hit) >= self.round) & (planes != _LOST)
+            if not over.any():
+                continue
+            hit = hit[over]
+            taken.append(
+                (record.completes(hit), record.rep_of(hit), planes[over], record.sizes[hit],
+                 initiators[over])
+            )
+            record.mark(hit, _LOST)
+        if not taken:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        completes, reps, planes, sizes, initiators = (np.concatenate(parts) for parts in zip(*taken))
+        self._retally(completes, reps, planes, sizes, -1)
+        return reps, initiators
 
     # ------------------------------------------------------------------
     # Edge-activation accounting (only while activations are tracked)
@@ -783,19 +868,13 @@ class BatchEngine:
     # ------------------------------------------------------------------
     # Core stepping
     # ------------------------------------------------------------------
-    @staticmethod
-    def _concat_batches(batches: list[tuple]) -> tuple:
-        """Concatenate a round's due batches column by column."""
-        if len(batches) == 1:
-            return batches[0]
-        return tuple(np.concatenate(parts) for parts in zip(*batches))
-
     def _deliver_due_exchanges(self) -> None:
         """Deliver every exchange whose latency has elapsed this round.
 
-        Exchanges belonging to replications that completed while the
-        exchange was in flight are discarded here (the vectorized
-        ``drain``); fault-suppressed exchanges count per replication.
+        The round's tally charges every exchange; then the informative ones
+        merge into the knowledge plane, less those of replications that
+        completed while they were in flight (the vectorized ``drain``) and
+        those the fault masks suppress.
         """
         tally = self._tallies.pop(self.round, None)
         if tally is not None:
@@ -805,136 +884,28 @@ class BatchEngine:
         batches = self._due.pop(self.round, None)
         if batches is None:
             return
-        columns = self._concat_batches(batches)
-        if self._lin_entries:
-            self._deliver_linear(*columns)
-            return
-        initiators, responders, rep_ids, payload_i, payload_j = columns
-        if self._outstanding is not None:
-            np.subtract.at(self._outstanding, (rep_ids, initiators), 1)
-            if (self._outstanding < 0).any():
-                raise RuntimeError(
-                    "outstanding-exchange underflow: an exchange completed that was "
-                    "never accounted as initiated"
-                )
+        lin_i, lin_j, payload_i, payload_j = (
+            batches[0] if len(batches) == 1 else map(np.concatenate, zip(*batches))
+        )
+        reps = self.reps
+        kept = None
         if not self._active.all():
-            alive = self._active[rep_ids]
-            if not alive.any():
-                return
-            if not alive.all():
-                initiators = initiators[alive]
-                responders = responders[alive]
-                rep_ids = rep_ids[alive]
-                payload_i = payload_i[alive]
-                payload_j = payload_j[alive]
+            kept = self._active[lin_i % reps]
         if self._crashed_mask.any() or self._dropped_keys.size:
-            suppressed = self._crashed_mask[initiators] | self._crashed_mask[responders]
-            if self._dropped_keys.size:
-                suppressed |= sorted_contains(self._dropped_keys, (initiators << 32) | responders)
-            if suppressed.any():
-                self._suppressed += np.bincount(rep_ids[suppressed], minlength=self.reps)
-                delivered = ~suppressed
-                initiators = initiators[delivered]
-                responders = responders[delivered]
-                rep_ids = rep_ids[delivered]
-                payload_i = payload_i[delivered]
-                payload_j = payload_j[delivered]
-                if not initiators.size:
-                    return
-        know = self._know
-        if self._popcounts is None:
-            self._popcounts = np.bitwise_count(know).sum(axis=(0, 2), dtype=np.int64)
-        before = self._popcounts
-        # Under SIR, recovered (node, rep) cells ignore the payload (the
-        # exchange still completes and is charged) — a recovered cell must
-        # never re-enter the knowledge tensor.
-        rec_flat = (
-            self._sir_recovered.reshape(-1) if self._sir_infected_at is not None else None
-        )
-        if self._words == 1:
-            flat = know.reshape(-1)
-            if len(self._rumors) == 1:
-                # Single-rumor runs carry one-bit payloads, so the OR-merge
-                # degenerates to a duplicate-safe constant scatter.
-                one = np.uint64(1)
-                lin_j = responders * self.reps + rep_ids
-                lin_i = initiators * self.reps + rep_ids
-                sel_j = payload_i != 0
-                sel_i = payload_j != 0
-                if rec_flat is not None:
-                    sel_j &= ~rec_flat[lin_j]
-                    sel_i &= ~rec_flat[lin_i]
-                flat[lin_j[sel_j]] = one
-                flat[lin_i[sel_i]] = one
-                sizes = (payload_i + payload_j).astype(np.int64)
-            else:
-                np.bitwise_or.at(flat, responders * self.reps + rep_ids, payload_i)
-                np.bitwise_or.at(flat, initiators * self.reps + rep_ids, payload_j)
-                sizes = (np.bitwise_count(payload_i) + np.bitwise_count(payload_j)).astype(
-                    np.int64
-                )
-        else:
-            np.bitwise_or.at(know, (responders, rep_ids), payload_i)
-            np.bitwise_or.at(know, (initiators, rep_ids), payload_j)
-            sizes = (
-                np.bitwise_count(payload_i).sum(axis=1, dtype=np.int64)
-                + np.bitwise_count(payload_j).sum(axis=1, dtype=np.int64)
-            )
-        self._messages += 2 * np.bincount(rep_ids, minlength=self.reps)
-        self._payload_sent += np.bincount(rep_ids, weights=sizes, minlength=self.reps).astype(
-            np.int64
-        )
-        if sizes.size and int(sizes.max()) > int(self._max_payload.min()):
-            np.maximum.at(self._max_payload, rep_ids, sizes)
-        after = np.bitwise_count(know).sum(axis=(0, 2), dtype=np.int64)
-        self._deliveries += after - before
-        self._popcounts = after
-        if len(self._rumors) == 1:
-            # Single-rumor runs: the post-merge popcount IS the round's
-            # informed count per replication (initiations never change
-            # knowledge), so the completion predicate and curve reuse it.
-            self._informed_cache = (self.round, 0, after)
-
-    def _count_tally(self, tally: np.ndarray) -> None:
-        """Charge a completion round's tallied exchanges to the live replications.
-
-        ``tally[rep, size]`` counts the round's exchanges of each payload
-        size: each sent two messages, the sizes add up to the payload sent,
-        and the largest size present bounds the maximum payload.
-        """
-        if not self._active.all():
-            tally[~self._active] = 0
-        levels = np.arange(_SIZE_LEVELS, dtype=np.int64)
-        self._messages += 2 * tally.sum(axis=1)
-        self._payload_sent += tally @ levels
-        top = np.where(tally != 0, levels, 0).max(axis=1)
-        np.maximum(self._max_payload, top, out=self._max_payload)
-
-    def _deliver_linear(
-        self, lin_i: np.ndarray, lin_j: np.ndarray, payload_i: np.ndarray, payload_j: np.ndarray
-    ) -> None:
-        """Merge a round's informative static exchanges into the knowledge plane.
-
-        Static non-blocking single-word runs only: no dynamics means no
-        faults and no outstanding bookkeeping, and the round's tally has
-        already charged every exchange's messages and payload, so this
-        only scatters the payloads (the entries carry flattened knowledge
-        indices) and takes the popcount delta.
-        """
-        if not self._active.all():
-            alive = self._active[lin_i % self.reps]
-            if not alive.any():
+            nodes_i, nodes_j = (lin_i, lin_j) if reps == 1 else (lin_i // reps, lin_j // reps)
+            delivered = ~self._faulted(nodes_i, nodes_j)
+            kept = delivered if kept is None else kept & delivered
+        if kept is not None:
+            if not kept.any():
                 return
-            if not alive.all():
-                lin_i = lin_i[alive]
-                lin_j = lin_j[alive]
-                payload_i = payload_i[alive]
-                payload_j = payload_j[alive]
+            lin_i, lin_j, payload_i, payload_j = (
+                lin_i[kept], lin_j[kept], payload_i[kept], payload_j[kept]
+            )
         know = self._know
         if self._popcounts is None:
             self._popcounts = np.bitwise_count(know).sum(axis=(0, 2), dtype=np.int64)
         before = self._popcounts
-        flat = know.reshape(-1)
+        rows = know.reshape(-1) if self._words == 1 else know.reshape(-1, self._words)
         if len(self._rumors) == 1:
             # One rumor: an informative exchange has exactly one informed
             # side, so the merge is a duplicate-safe constant scatter.
@@ -949,16 +920,37 @@ class BatchEngine:
                 sel_j = sel_j & ~rec_flat[lin_j]
                 sel_i = sel_i & ~rec_flat[lin_i]
             one = np.uint64(1)
-            flat[lin_j[sel_j]] = one
-            flat[lin_i[sel_i]] = one
+            rows[lin_j[sel_j]] = one
+            rows[lin_i[sel_i]] = one
         else:
-            np.bitwise_or.at(flat, lin_j, payload_i)
-            np.bitwise_or.at(flat, lin_i, payload_j)
+            np.bitwise_or.at(rows, lin_j, payload_i)
+            np.bitwise_or.at(rows, lin_i, payload_j)
         after = np.bitwise_count(know).sum(axis=(0, 2), dtype=np.int64)
         self._deliveries += after - before
         self._popcounts = after
         if len(self._rumors) == 1:
+            # Single-rumor runs: the post-merge popcount IS the round's
+            # informed count per replication (initiations never change
+            # knowledge), so the completion predicate and curve reuse it.
             self._informed_cache = (self.round, 0, after)
+
+    def _count_tally(self, tally: np.ndarray) -> None:
+        """Charge a completion round's tallied exchanges to the live replications.
+
+        ``tally[rep, plane, size]`` counts the round's exchanges of each
+        payload size.  Each delivered one sent two messages, the sizes add
+        up to the payload sent, and the largest size present bounds the
+        maximum payload; each suppressed one counts as suppressed.
+        """
+        if not self._active.all():
+            tally[~self._active] = 0
+        delivered = tally[:, 0]
+        levels = np.arange(delivered.shape[1], dtype=np.int64)
+        self._messages += 2 * delivered.sum(axis=1)
+        self._payload_sent += delivered @ levels
+        top = np.where(delivered != 0, levels, 0).max(axis=1)
+        np.maximum(self._max_payload, top, out=self._max_payload)
+        self._suppressed += tally[:, 1].sum(axis=1)
 
     def _step(self, policy: BatchPolicySpec) -> None:
         """Advance every active replication by one round.
@@ -995,10 +987,8 @@ class BatchEngine:
             acting = self._acting_buffer[:n_rows]
             acting[:] = True
             if self.blocking:
-                outstanding = (
-                    self._outstanding if active_rows is None else self._outstanding[active_rows]
-                )
-                acting &= outstanding == 0
+                busy = self._busy if active_rows is None else self._busy[active_rows]
+                acting &= busy <= self.round
             if policy.gate == "sir":
                 recovered = self._sir_recovered.T
                 if active_rows is not None:
@@ -1028,6 +1018,8 @@ class BatchEngine:
                     rngs[rep].random(out=draws[row])
             offsets = uniform_slot_offsets(draws, degrees[None, :])
         else:
+            if self._cursors is None:
+                self._cursors = np.zeros((reps, n), dtype=np.int64)
             cursors = self._cursors if active_rows is None else self._cursors[active_rows]
             offsets = cursors % np.maximum(degrees, 1)[None, :]
             if active_rows is None:
@@ -1045,11 +1037,6 @@ class BatchEngine:
             slots_f = offsets.ravel()
         else:
             slots_f = self._starts[nodes_f] + offsets[rows_f, nodes_f]
-        if self._outstanding is not None:
-            if active_rows is None:
-                self._outstanding += acting
-            else:
-                self._outstanding[active_rows] += acting
         if self._track_activations:
             self._record_activations(slots_f, reps_f)
         if cacheable:
@@ -1063,35 +1050,9 @@ class BatchEngine:
         else:
             self._activations[active_rows] += counts
         ranks_f = np.take(self._latency_rank, slots_f)
-        if self._lin_entries:
-            self._initiate_tallied(slots_f, nodes_f, reps_f, ranks_f)
-            return
-        # Group the round's initiations by latency with one radix sort, then
-        # hand each completion round a contiguous slice (payloads are
-        # gathered in sorted order, so the slices alias one snapshot block).
-        order = np.argsort(ranks_f, kind="stable")
-        nodes_s = nodes_f[order]
-        reps_s = reps_f[order]
-        ranks_s = ranks_f[order]
-        responders_s = self._indices[slots_f[order]]
-        if self._words == 1:
-            flat = self._know.reshape(-1)
-            payload_i = flat[nodes_s * reps + reps_s]
-            payload_j = flat[responders_s * reps + reps_s]
-        else:
-            payload_i = self._know[nodes_s, reps_s]
-            payload_j = self._know[responders_s, reps_s]
-        self._enqueue(ranks_s, (nodes_s, responders_s, reps_s, payload_i, payload_j))
-
-    def _enqueue(self, ranks: np.ndarray, columns: tuple) -> None:
-        """File latency-sorted exchange columns under their completion rounds."""
-        boundaries = np.flatnonzero(np.diff(ranks)) + 1
-        starts = [0, *boundaries.tolist()]
-        ends = [*boundaries.tolist(), ranks.size]
-        values = self._latency_values
-        for lo, hi in zip(starts, ends):
-            completes_at = self.round + int(values[ranks[lo]])
-            self._due.setdefault(completes_at, []).append(tuple(part[lo:hi] for part in columns))
+        if self._busy is not None:
+            self._busy[reps_f, nodes_f] = self.round + self._latency_values[ranks_f]
+        self._initiate_tallied(slots_f, nodes_f, reps_f, ranks_f)
 
     def _initiate_tallied(
         self,
@@ -1100,68 +1061,93 @@ class BatchEngine:
         reps_f: np.ndarray,
         ranks_f: np.ndarray,
     ) -> None:
-        """Tally a static round's initiations and pipeline the informative ones.
+        """Tally a round's initiations and pipeline the informative ones.
 
         Every exchange, gathered in draw order, is counted by (latency,
-        replication, payload size) with one ``bincount`` and each latency's
-        row lands in its completion round's tally.  Knowledge only grows
-        (and a recovered SIR cell ignores payloads), so an exchange whose
-        two snapshots are equal can change neither endpoint: only those
-        that differ are sorted by latency and carried to
-        :meth:`_deliver_linear`.  The round's record keeps every exchange's
-        slot, latency and size for a later resync.
+        replication, plane, payload size) with one ``bincount`` and each
+        latency's row lands in its completion round's tally; an exchange
+        toward a crashed node or over a faulted edge goes to the suppressed
+        plane.  Knowledge only grows (and a recovered SIR cell ignores
+        payloads), so an exchange whose two snapshots are equal can change
+        neither endpoint: only those that differ, and will deliver, are
+        sorted by latency and carried to :meth:`_deliver_due_exchanges`.
+        The round's record keeps every exchange's slot, latency, size and
+        plane for a later resync or fault.
         """
-        reps = self.reps
+        reps, words = self.reps, self._words
         responders_f = np.take(self._indices, slots_f)
         if reps == 1:
             lin_i, lin_j = nodes_f, responders_f
         else:
             lin_i = nodes_f * reps + reps_f
             lin_j = responders_f * reps + reps_f
-        flat = self._know.reshape(-1)
+        rows = self._know.reshape(-1) if words == 1 else self._know.reshape(-1, words)
         if self._bool_payloads:
-            flat = flat != 0
+            rows = rows != 0
         # One replication with every node acting: lin_i is arange(n).
-        payload_i = flat if reps == 1 and lin_i.size == flat.size else np.take(flat, lin_i)
-        payload_j = np.take(flat, lin_j)
-        if self._bool_payloads:
-            sizes = payload_i.view(np.uint8) + payload_j.view(np.uint8)
-            levels = 3
+        everyone = reps == 1 and lin_i.size == rows.shape[0]
+        payload_i = rows if everyone else np.take(rows, lin_i, axis=0)
+        payload_j = np.take(rows, lin_j, axis=0)
+        if words == 1:
+            if self._bool_payloads:
+                sizes = payload_i.view(np.uint8) + payload_j.view(np.uint8)
+            else:
+                sizes = np.bitwise_count(payload_i) + np.bitwise_count(payload_j)
+            informative = payload_i != payload_j
         else:
-            sizes = np.bitwise_count(payload_i) + np.bitwise_count(payload_j)
-            levels = 2 * min(64, len(self._rumors)) + 1
+            sizes = np.bitwise_count(payload_i).sum(axis=1, dtype=np.int32)
+            sizes += np.bitwise_count(payload_j).sum(axis=1, dtype=np.int32)
+            informative = (payload_i != payload_j).any(axis=1)
         values = self._latency_values
         keys = ranks_f.astype(np.intp)
         if reps > 1:
             keys *= reps
             keys += reps_f
+        planes, suppressed = 1, None
+        if self._crashed_mask.any() or self._dropped_keys.size:
+            if self._slot_suppressed is None:
+                initiators = np.repeat(np.arange(self._idx.num_nodes), self._degrees)
+                self._slot_suppressed = self._faulted(initiators, self._indices)
+            suppressed = self._slot_suppressed[slots_f]
+            if suppressed.any():
+                planes = 2
+                keys *= 2
+                keys += suppressed
+                informative &= ~suppressed
+            else:
+                suppressed = None
+        levels = 2 * len(self._rumors) + 1
         keys *= levels
         keys += sizes
-        counts = np.bincount(keys, minlength=values.size * reps * levels)
-        counts = counts.reshape(values.size, reps, levels)
-        present = np.flatnonzero(counts.any(axis=(1, 2))).tolist()
+        counts = np.bincount(keys, minlength=values.size * reps * planes * levels)
+        counts = counts.reshape(values.size, reps, planes, levels)
+        present = np.flatnonzero(counts.any(axis=(1, 2, 3))).tolist()
         for rank in present:
             completes_at = self.round + int(values[rank])
             tally = self._tallies.get(completes_at)
             if tally is None:
                 tally = self._tallies[completes_at] = np.zeros(
-                    (reps, _SIZE_LEVELS), dtype=np.int64
+                    (reps, 2, _tally_width(words)), dtype=np.int64
                 )
-            tally[:, :levels] += counts[rank]
+            tally[:, :planes, :levels] += counts[rank]
         # Kept columns hold slots and flattened indices: int32 where they fit.
-        index = np.int32 if max(self._indices.size, self._know.size) < 2**31 else np.int64
-        informative = np.flatnonzero(payload_i != payload_j)
-        if informative.size:
-            informative = informative[np.argsort(ranks_f[informative], kind="stable")]
-            self._enqueue(
-                ranks_f[informative],
-                (
-                    lin_i[informative].astype(index),
-                    lin_j[informative].astype(index),
-                    payload_i[informative],
-                    payload_j[informative],
-                ),
-            )
+        n_rows = self._know.shape[0] * reps
+        index = np.int32 if max(self._indices.size, n_rows) < 2**31 else np.int64
+        # Radix-sort the informative exchanges by latency code, so each
+        # completion round files one contiguous slice of them.
+        informative = np.flatnonzero(informative)
+        informative = informative[np.argsort(ranks_f[informative], kind="stable")]
+        ranks = ranks_f[informative]
+        columns = (
+            lin_i[informative].astype(index),
+            lin_j[informative].astype(index),
+            payload_i[informative],
+            payload_j[informative],
+        )
+        bounds = (np.flatnonzero(np.diff(ranks)) + 1).tolist()
+        for lo, hi in zip([0, *bounds], [*bounds, ranks.size]) if ranks.size else ():
+            completes_at = self.round + int(values[ranks[lo]])
+            self._due.setdefault(completes_at, []).append(tuple(part[lo:hi] for part in columns))
         self._records.append(
             _InitiationRecord(
                 self.round,
@@ -1170,7 +1156,8 @@ class BatchEngine:
                 ranks_f,
                 values,
                 sizes,
-                None if reps == 1 else np.bincount(reps_f, minlength=reps),
+                None if suppressed is None else suppressed.astype(np.uint8),
+                None if reps == 1 else np.cumsum(np.bincount(reps_f, minlength=reps)),
             )
         )
 
@@ -1210,12 +1197,11 @@ class BatchEngine:
         return [self._materialize_metrics(rep, counters[rep]) for rep in range(self.reps)]
 
     def _start(self, policy: BatchPolicySpec) -> None:
-        """Check ``policy`` against the engine and fix the delivery layout.
+        """Check ``policy`` against the engine and pick the payload layout.
 
         Run before the first round of a run (and, on the edge backend,
-        before every step): the flattened due columns and boolean payloads
-        apply while the knowledge plane is one word wide (and, for the
-        payloads, carries a single rumor).
+        before every step): payloads are booleans while the plane carries a
+        single rumor in one word.
         """
         if policy.select == "uniform-random" and len(policy.rngs) != self.reps:
             raise ValueError(
@@ -1229,14 +1215,19 @@ class BatchEngine:
                     f"{len(self._rumors)} rumors are seeded"
                 )
             self._sir_ensure()
-        self._lin_entries = self._lin_due and self._words == 1
-        self._bool_payloads = self._lin_entries and len(self._rumors) == 1
+        self._bool_payloads = self._words == 1 and len(self._rumors) == 1
 
     def _drain(self) -> None:
-        """Discard every in-flight exchange: pipeline, tallies and records."""
+        """Discard every in-flight exchange: pipeline, tallies and records.
+
+        Initiators of discarded exchanges stay busy for good, as they do on
+        the scalar backends.
+        """
         self._due.clear()
         self._tallies.clear()
         self._records.clear()
+        if self._busy is not None:
+            self._busy[self._busy > self.round] = np.iinfo(np.int64).max
 
     def _finish(self, mask: np.ndarray) -> None:
         """Freeze replications whose stop predicate turned true this round."""

@@ -323,47 +323,35 @@ class ActivationLedger:
         return result
 
 
-def drop_pending(
-    due: dict[int, list[tuple]], removed: set[tuple[int, int]], num_nodes: int, stride: int = 1
-) -> Optional[tuple]:
-    """Cut in-flight exchanges over ``removed`` directed pairs out of ``due``.
+def drop_pending(due: dict[int, list[tuple]], removed_keys: np.ndarray, bound: int) -> None:
+    """Cut in-flight entries over removed pairs out of ``due``.
 
     ``due`` maps a completion round to batches of array columns whose first
-    two columns are initiator and responder node indices (multiplied by
-    ``stride`` when the columns hold flattened ``node * stride + rep``
-    positions, as the batch kernel's static entries do).  The removed keys
-    are sorted once; each batch is prefiltered by a per-node "initiator
-    touched" mask and only the candidates are looked up.  Returns the
-    dropped rows as one tuple of concatenated columns, or ``None`` when
-    nothing was in flight over them.  What they count for is the caller's:
-    on static runs the kernel's pipeline holds only the informative
-    exchanges and its per-round records have already counted every lost
-    exchange, so it ignores them.
+    two columns hold the two endpoints as integer positions below ``bound``
+    (node indices, or the batch kernel's flattened ``node * reps + rep``
+    knowledge rows).  ``removed_keys`` are the sorted int64
+    ``(first << 32) | second`` keys of the pairs to cut, in the same
+    positions.  Each batch is prefiltered by a "first endpoint touched"
+    mask and only the candidates are looked up.  What the cut entries
+    count for is the caller's to decide.
     """
-    removed_keys = np.sort(
-        np.fromiter(((i << 32) | j for i, j in removed), dtype=np.int64, count=len(removed))
-    )
-    touched = np.zeros(num_nodes, dtype=bool)
+    touched = np.zeros(bound, dtype=bool)
     touched[removed_keys >> 32] = True
-    dropped: list[tuple] = []
     for completes_at, batches in list(due.items()):
         kept: list[tuple] = []
         changed = False
         for entry in batches:
-            initiators, responders = entry[0], entry[1]
-            if stride != 1:
-                initiators, responders = initiators // stride, responders // stride
-            candidates = np.flatnonzero(touched[initiators])
+            first, second = entry[0], entry[1]
+            candidates = np.flatnonzero(touched[first])
             if candidates.size:
-                keys = (initiators[candidates].astype(np.int64) << 32) | responders[candidates]
+                keys = (first[candidates].astype(np.int64) << 32) | second[candidates]
                 candidates = candidates[sorted_contains(removed_keys, keys)]
             if not candidates.size:
                 kept.append(entry)
                 continue
             changed = True
-            keep = np.ones(initiators.size, dtype=bool)
+            keep = np.ones(first.size, dtype=bool)
             keep[candidates] = False
-            dropped.append(tuple(part[candidates] for part in entry))
             if keep.any():
                 kept.append(tuple(part[keep] for part in entry))
         if changed:
@@ -371,9 +359,6 @@ def drop_pending(
                 due[completes_at] = kept
             else:
                 del due[completes_at]
-    if not dropped:
-        return None
-    return tuple(np.concatenate(parts) for parts in zip(*dropped))
 
 
 def resync_diff(

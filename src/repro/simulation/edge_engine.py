@@ -2,10 +2,12 @@
 
 :class:`EdgeEngine` runs one large trajectory at numpy speed: every round is
 a handful of whole-array operations over the CSR edge set (one uniform draw
-vector mapped to neighbour slots; on a static run, one ``bincount`` tallying
-the round's exchanges by latency and payload size and a radix sort of just
-the informative ones, those whose two payloads differ; one scatter of the
-delivered payloads into the knowledge bitplane).  Those rounds are exactly
+vector mapped to neighbour slots; one ``bincount`` tallying the round's
+exchanges by latency, delivered-or-suppressed plane and payload size, and a
+radix sort of just the informative ones, those whose two payloads differ;
+one scatter of the delivered payloads into the knowledge bitplane), on every
+run: static or churned, faulted, blocking, one knowledge word or many.
+Those rounds are exactly
 the rounds of :class:`~repro.simulation.batch_engine.BatchEngine`, so this
 module does not re-implement them: :class:`EdgeEngine` *is* the batch
 kernel fixed at ``reps=1``, and adds only the single-run

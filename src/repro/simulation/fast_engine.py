@@ -451,7 +451,7 @@ class FastEngine:
             self._set_csr_lists(new)
             self._graph_version = self.graph.version
             return
-        self._fold_slot_counts(old)
+        self._fold_slot_counts(old, self._folded_activations)
         added = new.num_nodes - old.num_nodes
         if added:
             self._know.extend([0] * added)
@@ -491,9 +491,13 @@ class FastEngine:
         if lost:
             self.metrics.record_lost(lost)
 
-    def _fold_slot_counts(self, idx) -> None:
-        """Fold a retiring snapshot's per-slot activation counts away."""
-        counter = self._folded_activations
+    def _fold_slot_counts(self, idx, counter: Counter) -> None:
+        """Add snapshot ``idx``'s per-slot activation counts to ``counter``.
+
+        Keys are the ``repr``-sorted label pairs of the reference counter.
+        A resync folds the retiring snapshot into the retired-edge counter;
+        a finished run folds the live one into its metrics.
+        """
         reprs: Optional[list[str]] = None
         indptr, indices = idx.indptr.tolist(), idx.indices.tolist()
         slot_counts = self._slot_counts
@@ -698,21 +702,7 @@ class FastEngine:
         repeatedly (e.g. multi-phase runs reusing one engine) stays
         consistent with the reference engine's incremental counter.
         """
-        idx = self._idx
         counter = self.metrics.edge_activations
         counter.clear()
         counter.update(self._folded_activations)
-        reprs: Optional[list[str]] = None
-        indptr, indices = idx.indptr.tolist(), idx.indices.tolist()
-        slot_counts = self._slot_counts
-        for i in range(idx.num_nodes):
-            for slot in range(indptr[i], indptr[i + 1]):
-                count = slot_counts[slot]
-                if not count:
-                    continue
-                if reprs is None:
-                    reprs = [repr(label) for label in idx.labels]
-                first, second = reprs[i], reprs[indices[slot]]
-                if second < first:
-                    first, second = second, first
-                counter[(first, second)] += count
+        self._fold_slot_counts(self._idx, counter)

@@ -18,23 +18,18 @@ engines.  Crashed nodes stay *in* the graph: neighbours still pick them (and
 pay for the wasted activation, counted in
 :attr:`~repro.simulation.metrics.SimulationMetrics.suppressed_exchanges`),
 which is what keeps seeded random streams identical to a fault-free run of
-the same topology.
-
-:class:`FaultyEngine` survives as a thin deprecated shim that compiles its
-plan and delegates to the plain :class:`GossipEngine`; new code should pass
-``faults=`` to :meth:`repro.gossip.base.GossipAlgorithm.run` (or a compiled
-schedule as ``dynamics=``) instead.
+the same topology.  Pass a plan as ``faults=`` to
+:meth:`repro.gossip.base.GossipAlgorithm.run`, or its compiled schedule as
+``dynamics=`` to an engine.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 from ..graphs.weighted_graph import GraphError, NodeId, WeightedGraph
-from .dynamics import ComposedDynamics, ScheduleDynamics, TopologyDynamics, TopologyEvent
-from .engine import GossipEngine
+from .dynamics import ScheduleDynamics, TopologyEvent
 from .rng import derive_seed, make_rng
 
 __all__ = [
@@ -42,7 +37,6 @@ __all__ = [
     "compile_fault_plan",
     "random_crash_plan",
     "random_edge_drop_plan",
-    "FaultyEngine",
 ]
 
 
@@ -177,44 +171,3 @@ def random_edge_drop_plan(
     count = int(round(drop_fraction * len(edges)))
     dropped = rng.sample(edges, min(count, len(edges))) if count else []
     return FaultPlan(edge_drops={frozenset((edge.u, edge.v)): drop_round for edge in dropped})
-
-
-class FaultyEngine(GossipEngine):
-    """Deprecated shim: a :class:`GossipEngine` honouring a :class:`FaultPlan`.
-
-    Historically this class reimplemented delivery and stepping with
-    plan-aware overrides; it now simply compiles its plan onto the shared
-    dynamics event pipeline (:func:`compile_fault_plan`) and delegates, so
-    its behaviour is — bit for bit — that of any engine running the same
-    compiled schedule.  Crashed nodes are silent and frozen, exchanges
-    touching a crashed node or dropped edge run their latency and deliver
-    nothing (``suppressed_exchanges``), and completion predicates are
-    restricted to survivors.
-
-    Prefer ``GossipAlgorithm.run(..., faults=plan)`` or
-    ``create_engine(..., dynamics=compile_fault_plan(plan))``: those run on
-    either backend, while this shim exists only so pre-pipeline callers
-    keep working.
-    """
-
-    def __init__(
-        self,
-        graph: WeightedGraph,
-        fault_plan: FaultPlan,
-        blocking: bool = False,
-        trace=None,
-        dynamics: Optional[TopologyDynamics] = None,
-    ) -> None:
-        warnings.warn(
-            "FaultyEngine is deprecated: faults now flow through the dynamics event "
-            "pipeline on both backends — pass faults= to GossipAlgorithm.run, or "
-            "dynamics=compile_fault_plan(plan) to create_engine",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        schedule = compile_fault_plan(fault_plan)
-        combined: TopologyDynamics = schedule
-        if dynamics is not None:
-            combined = ComposedDynamics((dynamics, schedule))
-        super().__init__(graph, blocking=blocking, trace=trace, dynamics=combined)
-        self.fault_plan = fault_plan

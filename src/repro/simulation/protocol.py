@@ -23,8 +23,9 @@ The simulation layer exposes one abstract surface — :class:`EngineProtocol`
   run whose policy rng is seeded ``derive_seed(seed, "rep", r)``.
 * ``"edge"`` — :class:`~repro.simulation.edge_engine.EdgeEngine`, the
   batch backend's numpy kernel fixed at one replication, so a *single*
-  run is vectorized across the whole edge set: one numpy draw vector and
-  one latency-argsort per round.  It runs the same declarative
+  run is vectorized across the whole edge set: one numpy draw vector, one
+  ``bincount`` tally of the round's exchanges and a radix sort of just the
+  informative ones per round.  It runs the same declarative
   :class:`RoundPolicySpec` surface as the fast backend but requires a
   numpy Generator rng for uniform selection, and reproduces, bit for bit,
   the numpy-mode fast run whose rng is seeded

@@ -8,7 +8,6 @@ from repro.graphs import GraphError, clique, path_graph, weighted_erdos_renyi
 from repro.simulation import (
     FaultPlan,
     FaultState,
-    FaultyEngine,
     GossipEngine,
     TopologyEvent,
     apply_events,
@@ -17,8 +16,6 @@ from repro.simulation import (
     random_edge_drop_plan,
 )
 from repro.simulation.rng import make_rng
-
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 class TestFaultPlan:
@@ -162,17 +159,18 @@ class TestFaultEvents:
         assert engine.metrics.activations > 0
 
 
-class TestFaultyEngine:
-    def test_shim_is_deprecated(self):
-        with pytest.warns(DeprecationWarning, match="dynamics event pipeline"):
-            FaultyEngine(clique(4), FaultPlan())
+def faulty_engine(graph, plan):
+    """The reference engine running ``plan`` as a compiled event schedule."""
+    return GossipEngine(graph, dynamics=compile_fault_plan(plan))
 
+
+class TestFaultyEngine:
     def test_no_faults_behaves_like_plain_engine(self):
         graph = clique(8)
         rng_a, rng_b = make_rng(1, "a"), make_rng(1, "a")
         plain = GossipEngine(graph)
         plain.seed_all_rumors()
-        faulty = FaultyEngine(graph, FaultPlan())
+        faulty = faulty_engine(graph, FaultPlan())
         faulty.seed_all_rumors()
         policy_a = lambda view: rng_a.choice(view.neighbors)
         policy_b = lambda view: rng_b.choice(view.neighbors)
@@ -183,7 +181,7 @@ class TestFaultyEngine:
     def test_crashed_node_never_learns_and_is_excluded(self):
         graph = clique(8)
         plan = FaultPlan(node_crashes={7: 1})
-        engine = FaultyEngine(graph, plan)
+        engine = faulty_engine(graph, plan)
         engine.seed_all_rumors()
         rng = make_rng(2, "crash")
         engine.run(
@@ -201,7 +199,7 @@ class TestFaultyEngine:
     def test_dropped_edge_blocks_dissemination_on_a_path(self):
         graph = path_graph(4)
         plan = FaultPlan(edge_drops={frozenset((1, 2)): 0})
-        engine = FaultyEngine(graph, plan)
+        engine = faulty_engine(graph, plan)
         rumor = engine.seed_rumor(0)
         rng = make_rng(3, "drop")
         with pytest.raises(RuntimeError):
@@ -215,7 +213,7 @@ class TestFaultyEngine:
     def test_push_pull_robust_to_moderate_crashes(self):
         graph = weighted_erdos_renyi(24, 0.3, seed=4)
         plan = random_crash_plan(graph, crash_fraction=0.2, crash_round=3, seed=4)
-        engine = FaultyEngine(graph, plan)
+        engine = faulty_engine(graph, plan)
         engine.seed_all_rumors()
         rng = make_rng(4, "robust")
         metrics = engine.run(
@@ -229,7 +227,7 @@ class TestFaultyEngine:
         graph = path_graph(2)
         graph.set_latency(0, 1, 5)
         plan = FaultPlan(node_crashes={1: 3})
-        engine = FaultyEngine(graph, plan)
+        engine = faulty_engine(graph, plan)
         rumor = engine.seed_rumor(0)
         engine.initiate_exchange(0, 1)
         for _ in range(8):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import find_bottleneck, suggest_upgrades
@@ -25,12 +24,8 @@ from repro.graphs import (
     to_json,
     uniform_latency,
 )
-from repro.simulation import FaultPlan, FaultyEngine, random_crash_plan
+from repro.simulation import FaultPlan, GossipEngine, compile_fault_plan, random_crash_plan
 from repro.simulation.rng import make_rng
-
-# FaultyEngine's deprecation warning is expected here; the shim's semantics
-# are exactly what these properties pin down.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 graph_params = st.tuples(
     st.integers(min_value=3, max_value=12),      # n
@@ -108,7 +103,7 @@ class TestFaultProperties:
 
         graph = clique(n)
         plan = random_crash_plan(graph, crash_fraction, crash_round=2, seed=seed)
-        engine = FaultyEngine(graph, plan)
+        engine = GossipEngine(graph, dynamics=compile_fault_plan(plan))
         engine.seed_all_rumors()
         rng = make_rng(seed, "fault-property")
         metrics = engine.run(

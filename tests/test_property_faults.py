@@ -9,7 +9,8 @@ Invariants checked over randomized graphs, fault schedules, and policies:
 * a crashed node's knowledge is frozen from its crash round on;
 * a compiled fault schedule reproduces the *legacy* ``FaultyEngine``
   semantics bit-for-bit (the oracle below is a verbatim copy of the
-  pre-pipeline plan-aware overrides), and replays identically on both
+  pre-pipeline plan-aware overrides, the class that engine was before it
+  was retired), and replays identically on both
   simulation backends — also when composed with Markov churn through
   ``ComposedDynamics``;
 * fault plans compose monotonically under ``merge`` (earliest failure wins,
@@ -20,21 +21,16 @@ from __future__ import annotations
 
 import heapq
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gossip import PushPullGossip, Task
 from repro.graphs import weighted_erdos_renyi
 from repro.graphs.dynamics import markov_churn
-from repro.simulation import EventTrace, FaultPlan, FaultyEngine, GossipEngine
+from repro.simulation import EventTrace, FaultPlan, GossipEngine, compile_fault_plan
 from repro.simulation.rng import make_rng
 
 MAX_ROUNDS = 12
-
-# The legacy FaultyEngine shim under test is deprecated by design; its
-# warning is the expected behaviour, not noise worth failing or reporting.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 class _LegacyFaultyEngine(GossipEngine):
@@ -121,10 +117,11 @@ def graph_and_plan(draw):
 
 
 def _run_faulty(graph, plan, policy_seed):
-    """Step a FaultyEngine for MAX_ROUNDS under seeded push-pull; return
-    (trace, per-round origin snapshots of every node)."""
+    """Step the reference engine under ``plan``'s compiled schedule for
+    MAX_ROUNDS under seeded push-pull; return (trace, per-round origin
+    snapshots of every node)."""
     trace = EventTrace()
-    engine = FaultyEngine(graph, plan, trace=trace)
+    engine = GossipEngine(graph, trace=trace, dynamics=compile_fault_plan(plan))
     engine.seed_all_rumors()
     rng = make_rng(policy_seed, "property-faults")
 
@@ -184,15 +181,15 @@ def test_compiled_schedule_matches_legacy_faulty_engine_bit_for_bit(case):
     """The tentpole parity property: pipeline faults == legacy FaultyEngine.
 
     The same seeded plan is run through the legacy plan-aware oracle and
-    through the compiled event schedule (via the FaultyEngine shim, which
-    delegates to the plain engine + pipeline).  Same rng stream in both;
+    through the compiled event schedule on the plain engine.  Same rng
+    stream in both;
     per-round origin snapshots, rounds, activations, messages, and the
     fault-aware completion predicates must agree exactly.
     """
     graph, plan, policy_seed = case
     engines = {
         "legacy": _LegacyFaultyEngine(graph.copy(), plan),
-        "pipeline": FaultyEngine(graph.copy(), plan),
+        "pipeline": GossipEngine(graph.copy(), dynamics=compile_fault_plan(plan)),
     }
     rngs = {name: make_rng(policy_seed, "legacy-parity") for name in engines}
     for engine in engines.values():
