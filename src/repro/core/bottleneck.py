@@ -21,15 +21,17 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from ..graphs.cuts import Cut, cut_edges
-from ..graphs.weighted_graph import Edge, GraphError, NodeId, WeightedGraph
+from ..graphs.weighted_graph import Edge, GraphError, WeightedGraph
 from .conductance import (
     DEFAULT_MAX_EXACT_NODES,
     critical_weighted_conductance,
-    cut_weight_ell_conductance,
     weight_ell_conductance,
 )
 from .estimation import estimate_critical_conductance, fiedler_ordering
+from .spectral import sweep_cut_conductance
 
 __all__ = ["BottleneckReport", "find_bottleneck", "suggest_upgrades"]
 
@@ -70,19 +72,14 @@ class BottleneckReport:
 
 
 def _approximate_bottleneck_cut(graph: WeightedGraph, ell: int) -> Cut:
-    """Best sweep cut of the ℓ-threshold subgraph (spectral heuristic)."""
+    """First least-φ_ℓ prefix of the ℓ-threshold subgraph's Fiedler ordering (one sweep)."""
     ordering = fiedler_ordering(graph.latency_subgraph(ell))
-    best_cut: Optional[Cut] = None
-    best_value = math.inf
-    for size in range(1, len(ordering)):
-        cut = Cut(frozenset(ordering[:size]))
-        value = cut_weight_ell_conductance(graph, cut, ell)
-        if value < best_value:
-            best_value = value
-            best_cut = cut
-    if best_cut is None:
-        raise GraphError("could not locate a bottleneck cut")
-    return best_cut
+    snapshot = graph.indexed()
+    order = np.fromiter(map(snapshot.index_of, ordering), dtype=np.int64, count=len(ordering))
+    sweep = sweep_cut_conductance(
+        snapshot.indptr, snapshot.indices, order, slot_weights=snapshot.latencies <= ell
+    )
+    return Cut(frozenset(ordering[: sweep.prefix]))
 
 
 def find_bottleneck(graph: WeightedGraph, seed: int = 0, max_exact_nodes: int = DEFAULT_MAX_EXACT_NODES) -> BottleneckReport:
@@ -92,10 +89,7 @@ def find_bottleneck(graph: WeightedGraph, seed: int = 0, max_exact_nodes: int = 
     exact = graph.num_nodes <= max_exact_nodes
     if exact:
         phi_star, ell_star = critical_weighted_conductance(graph, max_exact_nodes)
-        witness = weight_ell_conductance(graph, ell_star, max_exact_nodes).witness
-        if witness is None:
-            raise GraphError("no witness cut found")
-        cut = witness
+        cut = weight_ell_conductance(graph, ell_star, max_exact_nodes).witness
     else:
         phi_star, ell_star = estimate_critical_conductance(graph, seed=seed, max_exact_nodes=max_exact_nodes)
         cut = _approximate_bottleneck_cut(graph, ell_star)
@@ -147,10 +141,7 @@ def suggest_upgrades(
         for edge in candidates:
             trial = working.copy()
             trial.set_latency(edge.u, edge.v, upgraded_latency)
-            if trial.num_nodes <= max_exact_nodes:
-                phi, ell = critical_weighted_conductance(trial, max_exact_nodes)
-            else:
-                phi, ell = estimate_critical_conductance(trial, seed=seed, max_exact_nodes=max_exact_nodes)
+            phi, ell = estimate_critical_conductance(trial, seed=seed, max_exact_nodes=max_exact_nodes)
             ratio = math.inf if phi == 0 else ell / phi
             if ratio < best_ratio:
                 best_ratio = ratio

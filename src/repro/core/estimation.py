@@ -35,6 +35,8 @@ from ..graphs.weighted_graph import GraphError, NodeId, WeightedGraph
 from ..simulation.rng import make_numpy_rng
 from .conductance import (
     DEFAULT_MAX_EXACT_NODES,
+    _CutEvaluator,
+    _latency_class_slot_weights,
     average_weighted_conductance,
     critical_weighted_conductance,
     weight_ell_conductance,
@@ -172,17 +174,6 @@ def fiedler_ordering(
     return [node_list[i] for i in order]
 
 
-def _latency_class_slot_weights(latencies: "np.ndarray") -> "np.ndarray":
-    """Per-slot φ_avg weight ``1/2^i`` for latency class ``i`` (vectorized).
-
-    Mirrors :func:`repro.core.latency_classes.latency_class_index`: class 1
-    holds latencies ≤ 2, class ``i`` holds ``(2^{i−1}, 2^i]``.
-    """
-    clamped = np.maximum(latencies, 2).astype(np.float64)
-    class_index = np.maximum(np.ceil(np.log2(clamped)).astype(np.int64), 1)
-    return np.power(0.5, class_index.astype(np.float64))
-
-
 def _candidate_latencies(snapshot: IndexedGraph) -> list[int]:
     """Distinct latencies, collapsed to per-class maxima when too many.
 
@@ -196,11 +187,9 @@ def _candidate_latencies(snapshot: IndexedGraph) -> list[int]:
     distinct = np.unique(snapshot.latencies)
     if len(distinct) <= _MAX_CANDIDATE_LATENCIES:
         return [int(ell) for ell in distinct]
-    clamped = np.maximum(distinct, 2).astype(np.float64)
-    class_index = np.maximum(np.ceil(np.log2(clamped)).astype(np.int64), 1)
-    # class_index is non-decreasing over the sorted distinct latencies, so
-    # the last member of each run is that class's largest present latency.
-    last_in_class = np.flatnonzero(np.diff(class_index) != 0)
+    # Class weights fall along the sorted distinct latencies, so the last
+    # member of each run is that class's largest present latency.
+    last_in_class = np.flatnonzero(np.diff(_latency_class_slot_weights(distinct)) != 0)
     reps = distinct[np.concatenate((last_in_class, [len(distinct) - 1]))]
     return [int(ell) for ell in np.unique(np.concatenate(([distinct[0]], reps)))]
 
@@ -229,23 +218,19 @@ def _fiedler_sweep_value(
         pair = fiedler_pair(operator, seed, label, -1 if ell is None else int(ell))
     order = ordering_from_embedding(pair.embedding, operator.degrees > 0)
     sweep = sweep_cut_conductance(
-        snapshot.indptr,
-        snapshot.indices,
-        order,
-        volume_degrees=snapshot.degrees(),
-        slot_weights=slot_weights,
+        snapshot.indptr, snapshot.indices, order, slot_weights=slot_weights
     )
     return sweep.value, pair.lambda2, pair.converged
 
 
 def _random_cut_best(
     snapshot: IndexedGraph,
-    slot_weights: Optional["np.ndarray"],
+    slot_weights: "np.ndarray",
     samples: int,
     seed: int,
     *labels: object,
 ) -> float:
-    """Best conductance over random cuts, one O(m) crossing scan per draw.
+    """Best conductance over random cuts, scored in blocks by the exact pass's evaluator.
 
     The generator is derived through ``(seed, "estimate", "cut", *labels)``
     so estimates are bit-for-bit reproducible across processes.  Above
@@ -258,24 +243,14 @@ def _random_cut_best(
     if n > _RANDOM_CUT_CAP_NODES:
         samples = min(samples, _RANDOM_CUT_CAP_SAMPLES)
     rng = make_numpy_rng(seed, "estimate", "cut", *labels)
-    sources = snapshot.slot_sources()
-    degrees = snapshot.degrees()
-    total_volume = int(degrees.sum())
-    if slot_weights is None:
-        slot_weights = np.ones(len(snapshot.indices), dtype=np.float64)
-    member = np.zeros(n, dtype=bool)
+    score = _CutEvaluator(snapshot, slot_weights[:, None])
     best = math.inf
-    for _ in range(samples):
-        size = int(rng.integers(1, max(2, n // 2 + 1)))
-        side = rng.choice(n, size=size, replace=False)
-        member[:] = False
-        member[side] = True
-        crossing = member[sources] != member[snapshot.indices]
-        numerator = float(slot_weights[crossing].sum()) / 2.0  # both slot directions
-        volume = int(degrees[side].sum())
-        min_volume = min(volume, total_volume - volume)
-        value = 0.0 if min_volume == 0 else numerator / min_volume
-        best = min(best, value)
+    for start in range(0, samples, score.block_rows):
+        side = np.zeros((min(score.block_rows, samples - start), n), dtype=bool)
+        for row in side:
+            size = int(rng.integers(1, max(2, n // 2 + 1)))
+            row[rng.choice(n, size=size, replace=False)] = True
+        best = min(best, float(score(side).min()))
     return best
 
 
@@ -333,12 +308,11 @@ def _estimate_critical_with_gap(
     random_samples: int = 32,
 ) -> tuple[float, int, Optional[float], bool]:
     """``(φ*, ℓ*, λ2 of G_{ℓ*}, converged)`` — the solve feeds ``EstimatedProfile``."""
+    snapshot = graph.indexed()
     if graph.num_nodes <= max_exact_nodes:
         phi_star, ell_star = critical_weighted_conductance(graph, max_exact_nodes)
-        snapshot = graph.indexed()
         _, lambda2, converged = _fiedler_sweep_value(snapshot, ell_star, None, seed, "phi-ell")
         return phi_star, ell_star, lambda2, converged
-    snapshot = graph.indexed()
     best_ratio = -math.inf
     best = (0.0, 1, None, True)
     for ell in _candidate_latencies(snapshot):

@@ -137,8 +137,7 @@ def check_theorem5(graph: WeightedGraph, seed: int = 0, max_exact_nodes: int = D
         phi_avg = profile.phi_avg
         classes = profile.nonempty_classes
         witness = weight_ell_conductance(graph, ell_star, max_exact_nodes).witness
-        if witness is not None:
-            witness_upper = cut_average_conductance(graph, witness)
+        witness_upper = cut_average_conductance(graph, witness)
     else:
         phi_star, ell_star = estimate_critical_conductance(graph, seed=seed, max_exact_nodes=max_exact_nodes)
         phi_avg = estimate_average_conductance(graph, seed=seed, max_exact_nodes=max_exact_nodes)

@@ -89,10 +89,7 @@ def enumerate_cut_node_sets(graph: WeightedGraph) -> Iterator[frozenset[NodeId]]
     for size in range(1, len(rest) + 1):
         for combo in itertools.combinations(rest, size):
             yield frozenset(combo)
-    # The cut separating the anchor alone is represented by its complement
-    # side {anchor}? No: the loop above yields every non-empty subset of
-    # ``rest``; the subset equal to ``rest`` itself corresponds to the cut
-    # ({anchor}, rest), so all proper cuts are covered exactly once.
+    # The last subset yielded, ``rest`` itself, is the cut ({anchor}, rest).
 
 
 def enumerate_cuts(graph: WeightedGraph) -> Iterator[Cut]:

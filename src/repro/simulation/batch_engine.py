@@ -39,8 +39,8 @@ operations over the CSR edge set:
   the ones a later fault catches in flight, and the informative ones are
   filtered by the same masks at delivery;
 * **blocking** keeps one busy-until round per (replication, node): set when
-  the node initiates, cleared when its exchange is lost to a resync, and
-  left in place by a drain, as the scalar backends' outstanding counts are.
+  the node initiates, and cleared when its exchange is lost to a resync or
+  discarded by a drain.
 
 Replications complete independently: a column whose stop predicate holds is
 frozen — it stops initiating and drawing, its still-pending exchanges are
@@ -1218,16 +1218,12 @@ class BatchEngine:
         self._bool_payloads = self._words == 1 and len(self._rumors) == 1
 
     def _drain(self) -> None:
-        """Discard every in-flight exchange: pipeline, tallies and records.
-
-        Initiators of discarded exchanges stay busy for good, as they do on
-        the scalar backends.
-        """
+        """Discard every in-flight exchange: pipeline, tallies and records."""
         self._due.clear()
         self._tallies.clear()
         self._records.clear()
         if self._busy is not None:
-            self._busy[self._busy > self.round] = np.iinfo(np.int64).max
+            self._busy.fill(0)
 
     def _finish(self, mask: np.ndarray) -> None:
         """Freeze replications whose stop predicate turned true this round."""

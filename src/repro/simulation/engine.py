@@ -408,7 +408,7 @@ class GossipEngine:
         round, so completion time is the first round at which the condition
         is observable.  If ``drain`` is true, once the condition holds any
         still-pending exchanges are discarded (they cannot change the
-        outcome); otherwise they remain pending.
+        outcome) and their initiators freed; otherwise they remain pending.
         """
         policy = _as_callback(policy)
         if stop_condition(self):
@@ -420,6 +420,7 @@ class GossipEngine:
                 self.metrics.completion_time = self.round + self.metrics.charged_time
                 if drain:
                     self._pending.clear()
+                    self._outstanding = dict.fromkeys(self._outstanding, 0)
                 return self.metrics
         raise RuntimeError(
             f"simulation did not reach the stop condition within {max_rounds} rounds"

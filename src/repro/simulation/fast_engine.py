@@ -676,7 +676,7 @@ class FastEngine:
 
         Semantics match :meth:`GossipEngine.run`: the stop condition is
         evaluated after deliveries at the start of each round, and ``drain``
-        discards still-pending exchanges once the condition holds.
+        discards still-pending exchanges (freeing their initiators) once it holds.
         """
         if stop_condition(self):
             self.metrics.completion_time = self.round + self.metrics.charged_time
@@ -688,6 +688,7 @@ class FastEngine:
                 self.metrics.completion_time = self.round + self.metrics.charged_time
                 if drain:
                     self._due.clear()
+                    self._outstanding = [0] * len(self._outstanding)
                 self._materialize_edge_activations()
                 return self.metrics
         raise RuntimeError(

@@ -6,16 +6,41 @@ import math
 
 import pytest
 
-from repro.core import find_bottleneck, suggest_upgrades
+from repro.core import cut_weight_ell_conductance, find_bottleneck, suggest_upgrades
+from repro.core.estimation import fiedler_ordering
 from repro.gossip import DTGLocalBroadcast, RandomizedLocalBroadcast, Task
 from repro.graphs import (
+    Cut,
     GraphError,
     WeightedGraph,
     clique,
     path_graph,
     two_cluster_slow_bridge,
     weighted_erdos_renyi,
+    weighted_watts_strogatz,
 )
+
+# Graphs above the exact limit, where find_bottleneck sweeps a Fiedler ordering.
+SWEPT_GRAPHS = {
+    "erdos-renyi-30": lambda: weighted_erdos_renyi(30, 0.2, seed=3),
+    "erdos-renyi-75": lambda: weighted_erdos_renyi(75, 0.08, seed=8),
+    "slow-bridge-24": lambda: two_cluster_slow_bridge(12, fast_latency=1, slow_latency=64),
+    "slow-bridge-40": lambda: two_cluster_slow_bridge(20, fast_latency=2, slow_latency=16, bridges=3),
+    "watts-strogatz-50": lambda: weighted_watts_strogatz(50, 4, 0.2, seed=5),
+    "watts-strogatz-64": lambda: weighted_watts_strogatz(64, 6, 0.3, seed=1),
+}
+
+
+def _first_best_prefix(graph: WeightedGraph, ell: int) -> Cut:
+    """The per-prefix loop the vectorized sweep replaced: first least-φ_ℓ prefix."""
+    ordering = fiedler_ordering(graph.latency_subgraph(ell))
+    best_cut, best_value = None, math.inf
+    for size in range(1, len(ordering)):
+        cut = Cut(frozenset(ordering[:size]))
+        value = cut_weight_ell_conductance(graph, cut, ell)
+        if value < best_value:
+            best_cut, best_value = cut, value
+    return best_cut
 
 
 class TestFindBottleneck:
@@ -41,6 +66,13 @@ class TestFindBottleneck:
         assert report.ell_star == 64
         # The sweep cut should isolate (approximately) one clique: few crossing edges.
         assert len(report.fast_cut_edges) + len(report.slow_cut_edges) <= 4
+
+    @pytest.mark.parametrize("make_graph", SWEPT_GRAPHS.values(), ids=SWEPT_GRAPHS.keys())
+    def test_swept_cut_matches_per_prefix_loop(self, make_graph):
+        graph = make_graph()
+        report = find_bottleneck(graph, seed=2)
+        assert not report.exact
+        assert report.cut == _first_best_prefix(graph, report.ell_star)
 
     def test_degenerate_graph_rejected(self):
         with pytest.raises(GraphError):

@@ -166,6 +166,24 @@ def test_blocking_mode_parity():
     assert results[0] == results[1]
 
 
+def test_drain_frees_blocked_initiators():
+    # A drained blocking run discards its in-flight exchanges, so their
+    # initiators must be free to start the next run's exchanges.
+    graph = weighted_erdos_renyi(60, 0.15, seed=4)
+    results = []
+    for engine_cls in (GossipEngine, FastEngine):
+        engine = engine_cls(graph, blocking=True)
+        policy = RoundPolicySpec(select="uniform-random", gate="all", rng=make_rng(7, "drain"))
+        first = engine.seed_rumor(graph.nodes()[0])
+        engine.run(policy, stop_condition=lambda eng: eng.dissemination_complete(first))
+        late = engine.seed_rumor(graph.nodes()[1])
+        metrics = engine.run(
+            policy, stop_condition=lambda eng: eng.dissemination_complete(late), max_rounds=500
+        )
+        results.append((metrics.rounds, metrics.activations, metrics.messages))
+    assert results[0] == results[1]
+
+
 def test_fast_engine_rumors_known_matches_reference():
     graph = _ring()
     reference, fast = GossipEngine(graph), FastEngine(graph)

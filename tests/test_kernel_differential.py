@@ -14,8 +14,9 @@ one-sided stall fails.
 
 Faults that fire after round 1 catch exchanges in flight, which is the
 case the pinned examples keep in every run.  A second test reuses one
-engine for two runs, with and without draining the first, where the
-second run stays on one knowledge word or widens the plane to two.
+engine for two runs, blocking or not, with and without draining the
+first, where the second run stays on one knowledge word or widens the
+plane to two.
 """
 
 from __future__ import annotations
@@ -185,15 +186,20 @@ def test_kernel_matches_fast_loop(case):
         assert columns == loop
 
 
+@pytest.mark.parametrize("blocking", [False, True])
 @pytest.mark.parametrize("drain", [True, False])
 @pytest.mark.parametrize("words", [1, 2])
-def test_kernel_matches_fast_across_two_runs(drain, words):
+def test_kernel_matches_fast_across_two_runs(blocking, drain, words):
     # A one-to-all run, then a second run on the same engine: another
     # one-to-all rumor (one word), or all-to-all over 80 nodes (two words).
-    # Undrained, the first run's pipeline, tallies and records carry over.
+    # Undrained, the first run's pipeline, tallies and records carry over;
+    # drained, a blocking run's initiators are free again.
     graph = weighted_erdos_renyi(80, 0.15, seed=2)
     phases = []
-    for engine in (EdgeEngine(graph.copy()), FastEngine(graph.copy())):
+    for engine in (
+        EdgeEngine(graph.copy(), blocking=blocking),
+        FastEngine(graph.copy(), blocking=blocking),
+    ):
         spec = RoundPolicySpec(
             select="uniform-random", gate="all", rng=make_numpy_rng(2, "rep", 0)
         )
@@ -206,6 +212,6 @@ def test_kernel_matches_fast_across_two_runs(drain, words):
         else:
             engine.seed_all_rumors()
             stop = lambda e: e.all_to_all_complete()
-        two = engine.run(spec, stop, drain=drain)
+        two = engine.run(spec, stop, max_rounds=500 if blocking else 1_000_000, drain=drain)
         phases.append((first, two.as_dict(), Counter(two.edge_activations)))
     assert phases[0] == phases[1]
