@@ -25,11 +25,7 @@ import numpy as np
 
 from ..graphs.cuts import Cut, cut_edges
 from ..graphs.weighted_graph import Edge, GraphError, WeightedGraph
-from .conductance import (
-    DEFAULT_MAX_EXACT_NODES,
-    critical_weighted_conductance,
-    weight_ell_conductance,
-)
+from .conductance import DEFAULT_MAX_EXACT_NODES, _critical_profile
 from .estimation import estimate_critical_conductance, fiedler_ordering
 from .spectral import sweep_cut_conductance
 
@@ -88,8 +84,8 @@ def find_bottleneck(graph: WeightedGraph, seed: int = 0, max_exact_nodes: int = 
         raise GraphError("bottleneck analysis requires a graph with at least 2 nodes and 1 edge")
     exact = graph.num_nodes <= max_exact_nodes
     if exact:
-        phi_star, ell_star = critical_weighted_conductance(graph, max_exact_nodes)
-        cut = weight_ell_conductance(graph, ell_star, max_exact_nodes).witness
+        profile, cut = _critical_profile(graph, max_exact_nodes)
+        phi_star, ell_star = profile.critical_phi, profile.critical_latency
     else:
         phi_star, ell_star = estimate_critical_conductance(graph, seed=seed, max_exact_nodes=max_exact_nodes)
         cut = _approximate_bottleneck_cut(graph, ell_star)

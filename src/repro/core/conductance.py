@@ -258,15 +258,27 @@ def weighted_conductance_profile(
     candidates for ``ℓ*`` (ties go to the smallest ℓ).  The ℓmax column
     is the classical conductance.
     """
+    return _critical_profile(graph, max_exact_nodes)[0]
+
+
+def _critical_profile(
+    graph: WeightedGraph, max_exact_nodes: int
+) -> tuple[WeightedConductanceProfile, Cut]:
+    """The profile and the witness cut of ``φ_{ℓ*}``, from one cut pass.
+
+    The pass keeps every column's first minimum, so the ℓ* column's
+    witness is the one :func:`weight_ell_conductance` at ℓ* would find.
+    """
     _check_exact_feasible(graph, max_exact_nodes)
     latencies = graph.indexed().latencies
     distinct = graph.distinct_latencies()
     thresholds = latencies[:, None] <= np.asarray(distinct)
     columns = np.column_stack((thresholds, _latency_class_slot_weights(latencies)))
     *by_latency, average = _cut_pass(graph, columns)
-    phi_by_latency = {ell: result.value for ell, result in zip(distinct, by_latency)}
+    results = dict(zip(distinct, by_latency))
+    phi_by_latency = {ell: result.value for ell, result in results.items()}
     critical_latency = max(distinct, key=lambda ell: (phi_by_latency[ell] / ell, -ell))
-    return WeightedConductanceProfile(
+    profile = WeightedConductanceProfile(
         phi_by_latency=phi_by_latency,
         critical_phi=phi_by_latency[critical_latency],
         critical_latency=critical_latency,
@@ -275,6 +287,7 @@ def weighted_conductance_profile(
         nonempty_classes=len(nonempty_latency_classes(graph)),
         max_latency=distinct[-1],
     )
+    return profile, results[critical_latency].witness
 
 
 def critical_weighted_conductance(

@@ -40,6 +40,7 @@ from .conductance import (
     average_weighted_conductance,
     critical_weighted_conductance,
     weight_ell_conductance,
+    weighted_conductance_profile,
 )
 from .spectral import (
     DENSE_EIGH_MAX_NODES,
@@ -297,22 +298,20 @@ def estimate_critical_conductance(
     max_exact_nodes: int = DEFAULT_MAX_EXACT_NODES,
 ) -> tuple[float, int]:
     """Estimate ``(φ*, ℓ*)`` (exact when the graph is small enough)."""
-    phi_star, ell_star, _, _ = _estimate_critical_with_gap(graph, seed, max_exact_nodes)
+    if graph.num_nodes <= max_exact_nodes:
+        return critical_weighted_conductance(graph, max_exact_nodes)
+    phi_star, ell_star, _, _ = _estimate_critical_with_gap(graph, seed)
     return phi_star, ell_star
 
 
 def _estimate_critical_with_gap(
-    graph: WeightedGraph,
-    seed: int,
-    max_exact_nodes: int,
-    random_samples: int = 32,
+    graph: WeightedGraph, seed: int, random_samples: int = 32
 ) -> tuple[float, int, Optional[float], bool]:
-    """``(φ*, ℓ*, λ2 of G_{ℓ*}, converged)`` — the solve feeds ``EstimatedProfile``."""
+    """``(φ*, ℓ*, λ2 of G_{ℓ*}, converged)`` of a graph above the exact limit.
+
+    The solve feeds ``EstimatedProfile``.
+    """
     snapshot = graph.indexed()
-    if graph.num_nodes <= max_exact_nodes:
-        phi_star, ell_star = critical_weighted_conductance(graph, max_exact_nodes)
-        _, lambda2, converged = _fiedler_sweep_value(snapshot, ell_star, None, seed, "phi-ell")
-        return phi_star, ell_star, lambda2, converged
     best_ratio = -math.inf
     best = (0.0, 1, None, True)
     for ell in _candidate_latencies(snapshot):
@@ -359,10 +358,16 @@ def estimate_profile(
     if graph.num_nodes < 2 or graph.num_edges == 0:
         raise GraphError("conductance is undefined for graphs with < 2 nodes or no edges")
     exact = graph.num_nodes <= max_exact_nodes
-    phi_star, ell_star, lambda2, converged = _estimate_critical_with_gap(
-        graph, seed, max_exact_nodes
-    )
-    phi_avg = estimate_average_conductance(graph, seed=seed, max_exact_nodes=max_exact_nodes)
+    if exact:
+        # One cut pass gives φ*, ℓ* and φ_avg.
+        profile = weighted_conductance_profile(graph, max_exact_nodes)
+        phi_star, ell_star, phi_avg = profile.critical_phi, profile.critical_latency, profile.phi_avg
+        _, lambda2, converged = _fiedler_sweep_value(
+            graph.indexed(), ell_star, None, seed, "phi-ell"
+        )
+    else:
+        phi_star, ell_star, lambda2, converged = _estimate_critical_with_gap(graph, seed)
+        phi_avg = estimate_average_conductance(graph, seed=seed, max_exact_nodes=max_exact_nodes)
     return EstimatedProfile(
         critical_phi=phi_star,
         critical_latency=ell_star,

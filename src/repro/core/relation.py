@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 from ..graphs.weighted_graph import GraphError, WeightedGraph
-from .conductance import DEFAULT_MAX_EXACT_NODES, weighted_conductance_profile
+from .conductance import DEFAULT_MAX_EXACT_NODES
 from .estimation import estimate_average_conductance, estimate_critical_conductance
 from .latency_classes import nonempty_latency_classes, num_latency_classes
 
@@ -125,18 +125,17 @@ def check_theorem5(graph: WeightedGraph, seed: int = 0, max_exact_nodes: int = D
     for larger graphs the estimated quantities may violate the sandwich
     slightly because the two sides are estimated from different cuts.
     """
-    from .conductance import cut_average_conductance, weight_ell_conductance
+    from .conductance import _critical_profile, cut_average_conductance
 
     if graph.num_nodes < 2 or graph.num_edges == 0:
         raise GraphError("Theorem 5 requires a graph with at least 2 nodes and 1 edge")
     exact = graph.num_nodes <= max_exact_nodes
     witness_upper = math.inf
     if exact:
-        profile = weighted_conductance_profile(graph, max_exact_nodes)
+        profile, witness = _critical_profile(graph, max_exact_nodes)
         phi_star, ell_star = profile.critical_phi, profile.critical_latency
         phi_avg = profile.phi_avg
         classes = profile.nonempty_classes
-        witness = weight_ell_conductance(graph, ell_star, max_exact_nodes).witness
         witness_upper = cut_average_conductance(graph, witness)
     else:
         phi_star, ell_star = estimate_critical_conductance(graph, seed=seed, max_exact_nodes=max_exact_nodes)

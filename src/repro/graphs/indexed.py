@@ -25,11 +25,17 @@ never be mutated — every attribute is build-once.
 Large graphs can skip the dict representation entirely:
 :meth:`IndexedGraph.from_csr` wraps prebuilt flat arrays (see the
 direct-to-CSR generators in :mod:`repro.graphs.generators`) without ever
-materialising per-node dicts.
+materialising per-node dicts, and a :class:`CSRGraph` applies each round
+of topology events to its arrays (:meth:`CSRGraph.event_round`), so a
+churned run never builds them either.
 """
 
 from __future__ import annotations
 
+import weakref
+from collections.abc import Iterator
+from contextlib import contextmanager
+from itertools import chain
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -52,6 +58,10 @@ class IndexedGraph:
     lists, so per-node call sites need no shim.  On both build paths (the
     dict walk below and :meth:`from_csr`) ``slot_edge_id`` is built lazily
     on first access, by one argsort pairing the two slots of every edge.
+    A snapshot that closes a :class:`CSRGraph` event round is laid out from
+    the previous snapshot and the round's edited rows instead
+    (``edits``), and remembers where each previous slot went
+    (:meth:`slots_from`).
     """
 
     __slots__ = (
@@ -64,9 +74,16 @@ class IndexedGraph:
         "_index",
         "_neighbor_labels",
         "_slot_lookup",
+        "_edited_from",
+        "__weakref__",
     )
 
-    def __init__(self, graph: "WeightedGraph") -> None:
+    def __init__(self, graph: "WeightedGraph", edits: Optional["_RowEdits"] = None) -> None:
+        if edits is not None:
+            labels, indptr, indices, latencies, index, kept = edits.layout()
+            self._assign(labels, indptr, indices, latencies, index)
+            self._edited_from = (weakref.ref(edits.base), kept)
+            return
         labels: list["NodeId"] = graph.nodes()
         index: dict["NodeId", int] = {label: i for i, label in enumerate(labels)}
         indices: list[int] = []
@@ -92,6 +109,20 @@ class IndexedGraph:
         self._index: Optional[dict["NodeId", int]] = index
         self._neighbor_labels: Optional[list[tuple["NodeId", ...]]] = neighbor_labels
         self._slot_lookup: Optional[list[dict[int, int]]] = None
+        self._edited_from: Optional[tuple] = None
+
+    def _assign(self, labels, indptr, indices, latencies, index=None) -> None:
+        """Set the arrays of an array-built snapshot; every lazy part starts unbuilt."""
+        self.labels = labels
+        self.indptr = indptr
+        self.indices = indices
+        self.latencies = latencies
+        self.num_edges = int(len(indices)) // 2
+        self._slot_edge_id = None
+        self._index = index
+        self._neighbor_labels = None
+        self._slot_lookup = None
+        self._edited_from = None
 
     @classmethod
     def from_csr(
@@ -115,16 +146,25 @@ class IndexedGraph:
         edge-id build verifies this.
         """
         self = object.__new__(cls)
-        self.labels = list(labels)
-        self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        self.indices = np.ascontiguousarray(indices, dtype=np.int64)
-        self.latencies = np.ascontiguousarray(latencies, dtype=np.int64)
-        self.num_edges = int(len(self.indices)) // 2
-        self._slot_edge_id = None
-        self._index = None
-        self._neighbor_labels = None
-        self._slot_lookup = None
+        self._assign(
+            list(labels),
+            np.ascontiguousarray(indptr, dtype=np.int64),
+            np.ascontiguousarray(indices, dtype=np.int64),
+            np.ascontiguousarray(latencies, dtype=np.int64),
+        )
         return self
+
+    def slots_from(self, base: "IndexedGraph") -> Optional["np.ndarray"]:
+        """Where each slot of ``base`` went, if one event round turned ``base`` into this.
+
+        ``kept[s]`` is the slot here of ``base``'s slot ``s``, that is of
+        the same directed pair, or -1 once the pair is gone.  ``None``
+        unless :meth:`CSRGraph.event_round` laid this snapshot out from
+        ``base``; it holds ``base`` weakly.
+        """
+        if self._edited_from is None or self._edited_from[0]() is not base:
+            return None
+        return self._edited_from[1]
 
     def degrees(self) -> "np.ndarray":
         """Per-node degrees as one ``int64`` array (``np.diff(indptr)``).
@@ -319,6 +359,114 @@ class IndexedGraph:
         return f"IndexedGraph(n={self.num_nodes}, m={self.num_edges})"
 
 
+class _RowEdits(dict):
+    """One event round's edits to a snapshot: a ``label -> row dict`` map of touched rows.
+
+    :meth:`CSRGraph.event_round` applies a round's events to a plain
+    :class:`WeightedGraph` over this dict: its ``add_edge``,
+    ``remove_edge``, ``set_latency`` and ``add_node`` read and write
+    label-keyed row dicts exactly as on a dict graph, but a row is built
+    (from ``base``'s slots, in slot order) only when an event first reads
+    it.  Deleting a key closes its row up, inserting one appends it, and
+    assigning an existing one rewrites it in place, so :meth:`layout` puts
+    every slot where the dict path would.  A new node is a key that
+    ``base`` lacks; ``known`` holds the index of every other label the
+    round met.
+    """
+
+    __slots__ = ("base", "known")
+
+    def __init__(self, base: IndexedGraph) -> None:
+        super().__init__()
+        self.base = base
+        self.known: dict["NodeId", int] = {}
+
+    def _find(self, label: "NodeId") -> Optional[int]:
+        i = self.known.get(label)
+        if i is None:
+            i = self.base.lookup(label)
+            if i is not None:
+                self.known[label] = i
+        return i
+
+    def __contains__(self, label: object) -> bool:
+        return dict.__contains__(self, label) or self._find(label) is not None
+
+    def __missing__(self, label: "NodeId") -> dict["NodeId", int]:
+        i = self._find(label)
+        if i is None:
+            raise KeyError(label)
+        base = self.base
+        lo, hi = int(base.indptr[i]), int(base.indptr[i + 1])
+        neighbors = base.indices[lo:hi].tolist()
+        labels = list(map(base.labels.__getitem__, neighbors))
+        self.known.update(zip(labels, neighbors))
+        row = self[label] = dict(zip(labels, base.latencies[lo:hi].tolist()))
+        return row
+
+    def layout(self) -> tuple:
+        """The edited snapshot's arrays, label map and where each ``base`` slot went.
+
+        Untouched rows move as whole blocks; only the touched rows are
+        written from their dicts, and only their old slots are matched
+        (by directed index pair) to find where they went.  Returns
+        ``(labels, indptr, indices, latencies, index, kept)``, where
+        ``kept[s]`` is the new slot of ``base``'s slot ``s`` or -1 once its
+        pair is gone; ``index`` carries ``base``'s label map over (labels
+        only grow) when it was built.
+        """
+        base, known = self.base, self.known
+        n_old = base.num_nodes
+        joined = [label for label in self if label not in known]
+        labels, index = base.labels, base._index
+        if joined:
+            fresh = dict(zip(joined, range(n_old, n_old + len(joined))))
+            known.update(fresh)
+            labels = labels + joined
+            if index is not None:
+                index = {**index, **fresh}
+        at = np.fromiter(map(known.__getitem__, self), dtype=np.int64, count=len(self))
+        lengths = np.fromiter(map(len, self.values()), dtype=np.int64, count=len(self))
+        old_degrees = np.diff(base.indptr)
+        degrees = np.zeros(len(labels), dtype=np.int64)
+        degrees[:n_old] = old_degrees
+        degrees[at] = lengths
+        indptr = np.zeros(len(labels) + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
+        # An untouched row keeps its slots in order, shifted as one block.
+        shift = indptr[:n_old] - base.indptr[:-1]
+        kept = np.arange(base.indices.size, dtype=np.int64) + np.repeat(shift, old_degrees)
+        untouched = np.ones(n_old, dtype=bool)
+        untouched[at[at < n_old]] = False
+        moved = np.repeat(untouched, old_degrees)
+        indices = np.empty(int(indptr[-1]), dtype=np.int64)
+        latencies = np.empty(int(indptr[-1]), dtype=np.int64)
+        indices[kept[moved]] = base.indices[moved]
+        latencies[kept[moved]] = base.latencies[moved]
+        total = int(lengths.sum())
+        written = np.repeat(indptr[at] - (np.cumsum(lengths) - lengths), lengths)
+        written += np.arange(total, dtype=np.int64)
+        rows = self.values()
+        targets = map(known.__getitem__, chain.from_iterable(rows))
+        indices[written] = np.fromiter(targets, dtype=np.int64, count=total)
+        latencies[written] = np.fromiter(
+            chain.from_iterable(map(dict.values, rows)), dtype=np.int64, count=total
+        )
+        # A touched row's old slots go where their directed pair went, if anywhere.
+        old_slots = np.flatnonzero(~moved)
+        old_rows = np.flatnonzero(~untouched)
+        old_keys = np.repeat(old_rows, old_degrees[old_rows]) << 32
+        old_keys |= base.indices[old_slots]
+        new_keys = (np.repeat(at, lengths) << 32) | indices[written]
+        order = np.argsort(new_keys)
+        new_keys, written = new_keys[order], written[order]
+        found = np.searchsorted(new_keys, old_keys)
+        found = np.minimum(found, max(total - 1, 0))
+        hit = new_keys[found] == old_keys if total else np.zeros(old_slots.size, dtype=bool)
+        kept[old_slots] = np.where(hit, written[found] if total else -1, -1)
+        return labels, indptr, indices, latencies, index, kept
+
+
 class CSRGraph(WeightedGraph):
     """A :class:`WeightedGraph` born as CSR arrays — the direct-to-CSR path.
 
@@ -331,9 +479,23 @@ class CSRGraph(WeightedGraph):
     insertion order so a re-derived snapshot is bit-identical), while the
     hot queries the engines and algorithms actually issue — ``indexed()``,
     ``num_nodes``, ``nodes()``, ``degree``, ``is_connected`` — are served
-    straight from the arrays.  Mutation works too (dynamics scenarios
-    materialise, then behave exactly like a dict-built graph), it just
-    forfeits the lazy savings.
+    straight from the arrays.
+
+    The graph is in one of two states:
+
+    * **snapshot-backed** (as built, and after every event round): the
+      snapshot is the graph, and any materialised dicts are a read cache
+      of it.  Topology events go to the arrays: :meth:`event_round` edits
+      only the rows its events touch and lays out a new snapshot in the
+      dict path's slot order, dropping the dicts.
+    * **dict-backed**, after a direct mutation (``add_edge`` and friends
+      outside an event round): the mutation materialises the dicts and
+      they become the graph, exactly as on a dict-built graph; the next
+      ``indexed()`` rebuilds the snapshot from them, and the next event
+      round starts from that rebuild and returns to snapshot-backed.
+
+    Snapshots are never written in place, so a copy or a store checkout
+    can share the arrays.
     """
 
     def __init__(
@@ -369,8 +531,34 @@ class CSRGraph(WeightedGraph):
         self._adj_dict = value
 
     def _fresh(self) -> bool:
-        """Whether the CSR snapshot still describes the graph (never mutated)."""
-        return self._version == 0
+        """Whether the graph is snapshot-backed (no direct mutation since its snapshot)."""
+        cache = self._indexed_cache
+        return cache is not None and cache[1] is self._snapshot
+
+    @contextmanager
+    def event_round(self) -> Iterator[WeightedGraph]:
+        """Apply one round's events to the arrays (see the class docstring).
+
+        Yields the graph the events go to: a plain :class:`WeightedGraph`
+        over a :class:`_RowEdits` map, so the dict path's own mutation
+        methods edit the touched rows.  On closing (also when an event
+        raised, so that the events before it stay applied, as on a dict
+        graph) the rows are laid out as a new snapshot through
+        :class:`IndexedGraph`, which records where each old slot went, and
+        the version moves by one per mutation, as the dict path's does.
+        """
+        base = self.indexed()
+        edits = _RowEdits(base)
+        target = WeightedGraph()
+        target._adj = edits
+        self._snapshot, self._adj_dict = base, None
+        try:
+            yield target
+        finally:
+            if target.version:
+                self._version += target.version
+                self._snapshot = IndexedGraph(self, edits)
+            self._indexed_cache = (self._version, self._snapshot)
 
     # ------------------------------------------------------------------
     # CSR-served fast paths (fall back to the dict once mutated)
@@ -398,13 +586,15 @@ class CSRGraph(WeightedGraph):
         The clone is a fresh wrapper over the same CSR arrays.  Deep-copy
         semantics are preserved because nothing in the package writes the
         shared arrays in place (a dict-built graph already hands its
-        cached IndexedGraph arrays to every caller) — mutating either
-        graph materialises its own private per-node dicts and leaves the
-        other untouched.  This is what makes a dynamics/faults run on a
-        store checkout cheap: the engine's defensive copy no longer
-        round-trips 10^5+ nodes through python dicts.
+        cached IndexedGraph arrays to every caller) — an event round on
+        either graph lays out new arrays of its own, and a direct mutation
+        materialises its own private per-node dicts.  This is what makes a
+        dynamics/faults run on a store checkout cheap: the engine's
+        defensive copy no longer round-trips 10^5+ nodes through python
+        dicts.  Once the graph has changed, the copy is the dict graph
+        :meth:`WeightedGraph.copy` returns.
         """
-        if not self._fresh():
+        if self._version != 0:
             return super().copy()
         snap = self._snapshot
         return CSRGraph(snap.labels, snap.indptr, snap.indices, snap.latencies)

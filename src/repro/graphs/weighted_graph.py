@@ -20,6 +20,7 @@ positive integer latencies) are enforced in one place.
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Iterator, Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -160,6 +161,18 @@ class WeightedGraph:
         del self._adj[v][u]
         self._mutated()
 
+    @contextmanager
+    def event_round(self) -> Iterator["WeightedGraph"]:
+        """Group one round of topology events; yields the graph to apply them to.
+
+        A dict graph takes each event on its dicts as it comes, so it
+        yields itself; :class:`~repro.graphs.indexed.CSRGraph` yields a
+        stand-in over the rows the events touch and lays the round out in
+        new arrays when it closes (see
+        ``repro.simulation.dynamics.apply_events``).
+        """
+        yield self
+
     def remove_node(self, node: NodeId) -> None:
         """Remove ``node`` and all incident edges."""
         if node not in self._adj:
@@ -296,20 +309,41 @@ class WeightedGraph:
         """Return ``G_ell``: the subgraph keeping only edges of latency <= ``max_latency``.
 
         All nodes are retained even if they become isolated, matching the
-        paper's usage where ``G_ell`` shares the vertex set of ``G``.
+        paper's usage where ``G_ell`` shares the vertex set of ``G``.  Rows
+        come out as :meth:`copy` lays them out.
         """
-        sub = WeightedGraph(self.nodes())
-        for edge in self.edges():
-            if edge.latency <= max_latency:
-                sub.add_edge(edge.u, edge.v, edge.latency)
-        return sub
+        return self._edge_ordered(self.indexed().latencies <= max_latency)
 
     def copy(self) -> "WeightedGraph":
-        """Return a deep copy of the graph."""
-        clone = WeightedGraph(self.nodes())
-        for edge in self.edges():
-            clone.add_edge(edge.u, edge.v, edge.latency)
-        return clone
+        """Return a deep copy of the graph.
+
+        Each node's neighbours come out in :meth:`edges` order: the graph
+        that re-adding every edge in that order would build.
+        """
+        return self._edge_ordered(None)
+
+    def _edge_ordered(self, keep: Optional[np.ndarray]) -> "WeightedGraph":
+        """A dict graph over the snapshot's slots (those in ``keep``), rows in edge-id order.
+
+        :meth:`edges` meets the edges in ``slot_edge_id`` order, and
+        ``add_edge`` appends to both rows, so sorting the slots by
+        ``(source, slot_edge_id)`` lays out what an ``add_edge`` replay of
+        :meth:`edges` would, without adding a single edge.
+        """
+        from .indexed import IndexedGraph
+
+        snapshot = self.indexed()
+        sources = snapshot.slot_sources()
+        order = np.lexsort((snapshot.slot_edge_id, sources))
+        if keep is not None:
+            order = order[keep[order]]
+        indptr = np.zeros(snapshot.num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sources[order], minlength=snapshot.num_nodes), out=indptr[1:])
+        return WeightedGraph.from_indexed(
+            IndexedGraph.from_csr(
+                snapshot.labels, indptr, snapshot.indices[order], snapshot.latencies[order]
+            )
+        )
 
     def relabel_to_integers(self) -> tuple["WeightedGraph", dict[NodeId, int]]:
         """Return a copy with nodes relabeled ``0..n-1`` plus the mapping used."""

@@ -58,10 +58,19 @@ kernel fixed at ``reps=1`` behind the single-run
 :class:`~repro.simulation.protocol.EngineProtocol` surface, so an edge run
 is batch column 0 by construction.
 
-Per-edge activation counters are kept while the CSR snapshot has at most
+Per-edge activation counts are kept while the CSR snapshot has at most
 :data:`EDGE_ACTIVATION_SLOT_LIMIT` slots, decided once at construction;
-above it the label-keyed counters would dwarf the vectorized round loop, so
-runs that large report empty ``edge_activations``.
+above it runs report empty ``edge_activations``.  They are counted per
+CSR slot, in the rows of an
+:class:`~repro.simulation.dynamics.ActivationLedger`, which never move: at
+a resync each surviving slot keeps its row, through the map the event
+round recorded (:meth:`~repro.graphs.indexed.IndexedGraph.slots_from`),
+and only new slots take new rows (every slot does after a direct
+mutation), so the rows of removed edges are what the ledger retires.  A
+run ends with those arrays in an
+:class:`~repro.simulation.dynamics.EdgeActivations`, and each
+replication's label-keyed counter is built from them the first time its
+``edge_activations`` is read.
 
 Memory guard
 ------------
@@ -77,7 +86,6 @@ All-to-all seeding is the usual culprit: its knowledge plane alone is
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable
 from typing import Any, Optional
 
@@ -86,6 +94,7 @@ import numpy as np
 from ..graphs.weighted_graph import GraphError, NodeId, WeightedGraph
 from .dynamics import (
     ActivationLedger,
+    EdgeActivations,
     FaultMirror,
     TopologyDynamics,
     apply_events,
@@ -100,9 +109,9 @@ from .rng import uniform_slot_offsets
 
 __all__ = ["BatchEngine", "DEFAULT_MEMORY_LIMIT", "EDGE_ACTIVATION_SLOT_LIMIT"]
 
-#: Above this many CSR slots, per-edge activation counters are not kept:
-#: materializing a Counter keyed by label-pair reprs would dwarf the
-#: vectorized round loop at million-node scale.
+#: Above this many CSR slots, per-edge activation counts are not kept:
+#: a Counter keyed by label-pair reprs would dwarf the vectorized round
+#: loop at million-node scale.
 EDGE_ACTIVATION_SLOT_LIMIT = 2_000_000
 
 #: Default memory budget for the engine's arrays (bytes).
@@ -264,18 +273,13 @@ class BatchEngine:
         self._max_payload = np.zeros(reps, dtype=np.int64)
         self._lost = np.zeros(reps, dtype=np.int64)
         self._suppressed = np.zeros(reps, dtype=np.int64)
-        # Edge-activation accounting (when tracked): each round's (edge, rep)
-        # linear keys are appended to a fixed int32 ring buffer and folded
-        # into the (edge, rep) count matrix by one bincount per buffer-full
-        # (a scatter-add every round would touch the whole matrix every round).
+        # Edge-activation accounting (when tracked): each round's (slot, rep)
+        # pairs are parked in the ledger's ring buffer and added to its
+        # (row, rep) counts by one bincount per buffer-full (a scatter-add
+        # every round would touch the whole matrix every round).
+        self._ledger: Optional[ActivationLedger] = None
         if self._track_activations:
-            self._edge_counts = np.zeros((self._idx.num_edges, reps), dtype=np.int64)
-            buffer_size = _activation_buffer_size(n, reps)
-            self._act_slots = np.empty(buffer_size, dtype=np.int32)
-            self._act_reps = np.empty(buffer_size, dtype=np.int32)
-        self._act_fill = 0
-        # Counts of edges retired by topology resyncs, keyed by index pair.
-        self._ledger = ActivationLedger(reps)
+            self._ledger = ActivationLedger(self._idx, reps, _activation_buffer_size(n, reps))
         # Completion bookkeeping.
         self._active = np.ones(reps, dtype=bool)
         self._completion_round = np.full(reps, -1, dtype=np.int64)
@@ -327,8 +331,6 @@ class BatchEngine:
         self._latencies = np.asarray(idx.latencies, dtype=np.int64)
         self._degrees = np.diff(self._indptr)
         self._starts = self._indptr[:-1]
-        if self._track_activations:
-            self._slot_edge_ids = np.asarray(idx.slot_edge_id, dtype=np.int64)
         # Per slot: does an exchange over it start out suppressed?  Built on
         # demand and kept until a fault fires or the snapshot changes.
         self._slot_suppressed: Optional[np.ndarray] = None
@@ -360,8 +362,9 @@ class BatchEngine:
         """Estimate the engine's array footprint at ``words`` knowledge words.
 
         Five terms: the ``(n, reps, words)`` knowledge plane, the
-        ``(E, reps)`` edge-count matrix and the two int32 activation ring
-        buffers (zero when activations are not tracked), the ``(reps, n)``
+        ``(slots, reps)`` activation-count matrix (churn adds rows: a
+        retired edge keeps its row until the run ends) and its int64 ring
+        buffer (zero when activations are not tracked), the ``(reps, n)``
         acting and draw buffers (and busy-until rounds under blocking), and
         the worst-case in-flight pipeline — every (node, replication) keeps
         one exchange per round alive for up to the maximum edge latency,
@@ -374,7 +377,7 @@ class BatchEngine:
         tracked = self._track_activations
         estimate = {
             "knowledge": n * reps * words * 8,
-            "edge-counts": self._idx.num_edges * reps * 8 if tracked else 0,
+            "edge-counts": self._idx.indices.size * reps * 8 if tracked else 0,
             "activation-buffers": _activation_buffer_size(n, reps) * 8 if tracked else 0,
             "round-buffers": reps * n * (17 if self.blocking else 9),
             "pipeline": n * reps * max_latency * (32 + 16 * words)
@@ -698,8 +701,8 @@ class BatchEngine:
             self._set_latency_ranks()
             self._graph_version = self.graph.version
             return
-        if self._track_activations:
-            self._fold_activations(old)
+        if self._ledger is not None:
+            self._ledger.resync(old, new)
         added = new.num_nodes - old.num_nodes
         if added:
             def _pad(array: np.ndarray, axis: int) -> np.ndarray:
@@ -726,8 +729,6 @@ class BatchEngine:
             self._drop_pending_over(removed)
         self._idx = new
         self._load_csr()
-        if self._track_activations:
-            self._edge_counts = np.zeros((new.num_edges, self.reps), dtype=np.int64)
         self._mask_epoch += 1
         self._graph_version = self.graph.version
 
@@ -803,67 +804,6 @@ class BatchEngine:
         completes, reps, planes, sizes, initiators = (np.concatenate(parts) for parts in zip(*taken))
         self._retally(completes, reps, planes, sizes, -1)
         return reps, initiators
-
-    # ------------------------------------------------------------------
-    # Edge-activation accounting (only while activations are tracked)
-    # ------------------------------------------------------------------
-    def _record_activations(self, slots_f: np.ndarray, reps_f: np.ndarray) -> None:
-        """Park one round's (slot, rep) activation pairs in the ring buffers.
-
-        Parked slots reference the current CSR snapshot, so the buffers are
-        always flushed before a snapshot swap (:meth:`_fold_activations`).
-        """
-        if self._act_fill + slots_f.size > self._act_slots.size:
-            self._flush_activations()
-        if slots_f.size > self._act_slots.size:  # pragma: no cover - huge single round
-            linear = self._slot_edge_ids[slots_f] * self.reps + reps_f
-            self._edge_counts += np.bincount(
-                linear, minlength=self._idx.num_edges * self.reps
-            ).reshape(self._edge_counts.shape)
-            return
-        self._act_slots[self._act_fill : self._act_fill + slots_f.size] = slots_f
-        self._act_reps[self._act_fill : self._act_fill + slots_f.size] = reps_f
-        self._act_fill += slots_f.size
-
-    def _flush_activations(self) -> None:
-        """Fold the parked activation pairs into the edge-count matrix."""
-        if not self._act_fill:
-            return
-        linear = (
-            self._slot_edge_ids[self._act_slots[: self._act_fill]] * self.reps
-            + self._act_reps[: self._act_fill]
-        )
-        counts = np.bincount(linear, minlength=self._idx.num_edges * self.reps)
-        self._edge_counts += counts.reshape(self._edge_counts.shape)
-        self._act_fill = 0
-
-    @staticmethod
-    def _edge_pair_keys(idx) -> np.ndarray:
-        """The index-pair key of every edge id of a CSR snapshot."""
-        keys = np.empty(idx.num_edges, dtype=np.int64)
-        keys[idx.slot_edge_id] = idx.slot_pair_keys()
-        return keys
-
-    def _fold_activations(self, idx) -> None:
-        """Move a retiring snapshot's nonzero edge-count rows into the ledger."""
-        self._flush_activations()
-        rows = np.flatnonzero(self._edge_counts.any(axis=1))
-        if rows.size:
-            self._ledger.fold(self._edge_pair_keys(idx)[rows], self._edge_counts[rows])
-
-    def _edge_activation_counters(self) -> list[Counter]:
-        """One label-keyed activation counter per replication.
-
-        Every edge of the live snapshot appears (even at zero), a retired
-        edge only where its count is nonzero; the counters are empty when
-        activations are not tracked.
-        """
-        if not self._track_activations:
-            return [Counter() for _ in range(self.reps)]
-        self._flush_activations()
-        return self._ledger.counters(
-            self._idx.labels, self._edge_pair_keys(self._idx), self._edge_counts
-        )
 
     # ------------------------------------------------------------------
     # Core stepping
@@ -1037,8 +977,8 @@ class BatchEngine:
             slots_f = offsets.ravel()
         else:
             slots_f = self._starts[nodes_f] + offsets[rows_f, nodes_f]
-        if self._track_activations:
-            self._record_activations(slots_f, reps_f)
+        if self._ledger is not None:
+            self._ledger.park(slots_f, reps_f)
         if cacheable:
             if self._acting_counts is None or self._acting_counts[0] != cache_key:
                 self._acting_counts = (cache_key, acting.sum(axis=1))
@@ -1193,8 +1133,8 @@ class BatchEngine:
             self._finish(np.asarray(stop_mask(self), dtype=bool))
             if self._curve_rumor is not None:
                 self._curve.append(self.informed_counts(self._curve_rumor))
-        counters = self._edge_activation_counters()
-        return [self._materialize_metrics(rep, counters[rep]) for rep in range(self.reps)]
+        record = None if self._ledger is None else self._ledger.record(self._idx.labels)
+        return [self._materialize_metrics(rep, record) for rep in range(self.reps)]
 
     def _start(self, policy: BatchPolicySpec) -> None:
         """Check ``policy`` against the engine and pick the payload layout.
@@ -1249,11 +1189,14 @@ class BatchEngine:
         points = self._curve if end < 0 else self._curve[: end + 1]
         return [int(counts[rep]) for counts in points]
 
-    def _materialize_metrics(self, rep: int, edge_activations: Counter) -> SimulationMetrics:
+    def _materialize_metrics(
+        self, rep: int, record: Optional[EdgeActivations]
+    ) -> SimulationMetrics:
         """Build the reference-format metrics object of one replication.
 
-        ``edge_activations`` is the replication's label-keyed counter, built
-        for every replication at once in :meth:`run_batch`.
+        Its ``edge_activations`` counter is built from ``record``, shared by
+        every replication of the run, when it is first read (empty when
+        activations are not tracked).
         """
         metrics = SimulationMetrics()
         completion = int(self._completion_round[rep])
@@ -1261,9 +1204,10 @@ class BatchEngine:
         if completion >= 0:
             metrics.completion_time = float(completion)
         self._copy_counters(rep, metrics)
-        # The final snapshot's zero-count edges are kept: Counter equality
-        # (3.10+) treats them as absent.
-        metrics.edge_activations = edge_activations
+        if record is not None:
+            # The final snapshot's zero-count edges are kept: Counter
+            # equality (3.10+) treats them as absent.
+            metrics.defer_edge_activations(record, rep)
         return metrics
 
     def _copy_counters(self, rep: int, metrics: SimulationMetrics) -> None:

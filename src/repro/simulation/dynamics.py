@@ -74,6 +74,7 @@ __all__ = [
     "EVENT_KINDS",
     "FAULT_EVENT_KINDS",
     "ActivationLedger",
+    "EdgeActivations",
     "FaultMirror",
     "FaultState",
     "drop_pending",
@@ -228,13 +229,13 @@ class FaultMirror(FaultState):
 
     def _forward(self, nodes: tuple) -> None:
         """Notify the engine of a crash (one node) or edge fault (two nodes)."""
-        index = self._engine._idx.index
-        if not all(node in index for node in nodes):
+        found = [self._engine._idx.lookup(node) for node in nodes]
+        if None in found:
             self._parked.append(nodes)
-        elif len(nodes) == 1:
-            self._engine._on_crash(index[nodes[0]])
+        elif len(found) == 1:
+            self._engine._on_crash(found[0])
         else:
-            self._engine._on_edge_fault(index[nodes[0]], index[nodes[1]])
+            self._engine._on_edge_fault(found[0], found[1])
 
     def replay(self) -> None:
         """Forward the faults parked for the engine's post-event resync."""
@@ -261,66 +262,165 @@ _LOW_32 = np.int64(0xFFFFFFFF)
 
 
 class ActivationLedger:
-    """Per-edge activation counts carried across CSR re-snapshots.
+    """Per-edge activation counts that outlive CSR re-snapshots.
 
-    A snapshot's slots and edge ids die at the next topology resync, but
-    node indices are stable (the node universe only grows), so a retired
-    edge is keyed by its int64 index pair ``(min << 32) | max``.  ``keys``
-    is sorted and unique; ``counts`` holds one row per key and one column
-    per replication.  Labels enter only once, in :meth:`counters`.
+    Counts live in rows that never move.  Each slot of the live snapshot
+    owns one row (``slot_rows``); a resync hands a surviving slot its old
+    row, through the slot map the event round recorded
+    (:meth:`~repro.graphs.indexed.IndexedGraph.slots_from`), and a new slot
+    a fresh one, so a resync copies no counts.  The rows no slot owns any
+    more are the retired edges'.  Each row keeps its slot's int64 index
+    pair ``(min << 32) | max`` (node indices are stable: the node universe
+    only grows), which is all the label-keyed counters need.  Activations
+    are parked as ``row * columns + column`` codes in a ring buffer and
+    added by one ``bincount`` per buffer-full.
     """
 
-    __slots__ = ("keys", "counts")
+    __slots__ = ("columns", "slot_rows", "keys", "counts", "used", "_parked", "_fill")
 
-    def __init__(self, columns: int) -> None:
-        self.keys = np.empty(0, dtype=np.int64)
-        self.counts = np.zeros((0, columns), dtype=np.int64)
+    def __init__(self, snapshot: IndexedGraph, columns: int, buffer_size: int) -> None:
+        self.columns = columns
+        self.slot_rows = np.arange(snapshot.indices.size, dtype=np.int64)
+        self.keys = snapshot.slot_pair_keys()
+        self.counts = np.zeros((self.keys.size, columns), dtype=np.int64)
+        self.used = self.keys.size
+        self._parked = np.empty(buffer_size, dtype=np.int64)
+        self._fill = 0
 
-    def _merged(self, keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The ledger's rows with ``counts`` added under ``keys`` (keys may repeat)."""
-        merged = np.union1d(self.keys, keys)
-        total = np.zeros((merged.size, self.counts.shape[1]), dtype=np.int64)
-        total[np.searchsorted(merged, self.keys)] = self.counts
-        np.add.at(total, np.searchsorted(merged, keys), counts)
-        return merged, total
+    def park(self, slots: np.ndarray, columns: np.ndarray) -> None:
+        """Count one activation of each live ``slots[k]`` in column ``columns[k]``."""
+        codes = self.slot_rows[slots]
+        if self.columns > 1:
+            codes *= self.columns
+            codes += columns
+        if self._fill + codes.size > self._parked.size:
+            self.flush()
+        if codes.size > self._parked.size:  # pragma: no cover - huge single round
+            self._add(codes)
+            return
+        self._parked[self._fill : self._fill + codes.size] = codes
+        self._fill += codes.size
 
-    def fold(self, keys: np.ndarray, counts: np.ndarray) -> None:
-        """Add the ``counts`` rows under the pair ``keys`` (keys may repeat)."""
-        self.keys, self.counts = self._merged(keys, counts)
+    def flush(self) -> None:
+        """Add the parked activations to their rows."""
+        if self._fill:
+            self._add(self._parked[: self._fill])
+            self._fill = 0
 
-    def counters(
-        self, labels: Sequence[NodeId], keys: np.ndarray, counts: np.ndarray
-    ) -> list[Counter]:
-        """One reference-format counter per column, with live rows folded in.
+    def _add(self, codes: np.ndarray) -> None:
+        used = self.used
+        tally = np.bincount(codes, minlength=used * self.columns)
+        self.counts[:used] += tally.reshape(used, self.columns)
 
-        ``keys`` / ``counts`` are the live snapshot's rows; the ledger
-        itself is left untouched.  A counter maps the ``repr``-sorted label
-        pair of each edge to its count: every live key appears (even at
-        zero), a retired key only where its count is nonzero.  Pairs are
-        built by ranking the label reprs once, so labels that share a
-        repr share a counter entry.
+    def resync(self, old: IndexedGraph, new: IndexedGraph) -> None:
+        """Give every slot of ``new`` its row: a surviving slot keeps its own.
+
+        Without an event round's slot map from ``old`` (a direct mutation
+        since the last resync) every slot of ``new`` starts a fresh row.
         """
-        all_keys, all_counts = self._merged(keys, counts)
-        names, rank = np.unique(np.array([repr(label) for label in labels]), return_inverse=True)
-        first, second = rank[all_keys >> 32], rank[all_keys & _LOW_32]
+        rows = np.full(new.indices.size, -1, dtype=np.int64)
+        kept = new.slots_from(old)
+        if kept is not None:
+            moved = kept >= 0
+            rows[kept[moved]] = self.slot_rows[moved]
+        fresh = np.flatnonzero(rows < 0)
+        if fresh.size:
+            start, self.used = self.used, self.used + fresh.size
+            if self.used > self.keys.size:
+                capacity = max(self.used, 2 * self.keys.size)
+                keys = np.empty(capacity, dtype=np.int64)
+                keys[:start] = self.keys[:start]
+                counts = np.zeros((capacity, self.columns), dtype=np.int64)
+                counts[:start] = self.counts[:start]
+                self.keys, self.counts = keys, counts
+            rows[fresh] = np.arange(start, self.used, dtype=np.int64)
+            sources = np.searchsorted(new.indptr, fresh, side="right") - 1
+            targets = new.indices[fresh]
+            self.keys[start : self.used] = (np.minimum(sources, targets) << 32) | np.maximum(
+                sources, targets
+            )
+        self.slot_rows = rows
+
+    def record(self, labels: Sequence[NodeId]) -> EdgeActivations:
+        """The counts so far as plain arrays: live slots, then retired rows."""
+        self.flush()
+        owned = np.zeros(self.used, dtype=bool)
+        owned[self.slot_rows] = True
+        retired = np.flatnonzero(~owned & self.counts[: self.used].any(axis=1))
+        live = self.slot_rows
+        return EdgeActivations(
+            labels, self.keys[retired], self.counts[retired], self.keys[live], self.counts[live]
+        )
+
+
+class EdgeActivations:
+    """A finished run's activation counts as plain arrays, turned into counters on read.
+
+    ``live_keys`` / ``live_counts`` are the final snapshot's slots in CSR
+    order (pair key, and one count column per replication); the ledger
+    rows are what resyncs retired.  Nothing here refers to an engine, so
+    a result holding it stays small to keep and pickles; the label work
+    is done once, on the first :meth:`counter` call.
+    """
+
+    __slots__ = ("labels", "ledger_keys", "ledger_counts", "live_keys", "live_counts", "_table")
+
+    def __init__(
+        self,
+        labels: Sequence[NodeId],
+        ledger_keys: np.ndarray,
+        ledger_counts: np.ndarray,
+        live_keys: np.ndarray,
+        live_counts: np.ndarray,
+    ) -> None:
+        self.labels = labels
+        self.ledger_keys = ledger_keys
+        self.ledger_counts = ledger_counts
+        self.live_keys = live_keys
+        self.live_counts = live_counts
+        self._table: Optional[tuple[list, np.ndarray, np.ndarray]] = None
+
+    def _build(self) -> tuple[list, np.ndarray, np.ndarray]:
+        """Label pairs, their per-column totals and which are live, in counter order.
+
+        A pair is the ``repr``-sorted label pair of an edge; pairs are
+        built by ranking the label reprs once, so labels that share a repr
+        share an entry.  Live pairs come first, in the order the final
+        snapshot first meets them (its edge order), then retired pairs in
+        key order, so a run without resyncs lists edges as its snapshot
+        does.
+        """
+        live = self.live_keys.size
+        keys = np.concatenate([self.live_keys, self.ledger_keys])
+        counts = np.concatenate([self.live_counts, self.ledger_counts])
+        names, rank = np.unique(
+            np.array([repr(label) for label in self.labels]), return_inverse=True
+        )
+        first, second = rank[keys >> 32], rank[keys & _LOW_32]
         pairs, group = np.unique(
             (np.minimum(first, second) << 32) | np.maximum(first, second), return_inverse=True
         )
-        totals = np.zeros((pairs.size, all_counts.shape[1]), dtype=np.int64)
-        np.add.at(totals, group, all_counts)
-        # Entries follow the live rows' order, then retired pairs in key
-        # order, so a run without resyncs lists edges as its snapshot does.
-        position = np.full(pairs.size, keys.size, dtype=np.int64)
-        np.minimum.at(position, group[np.searchsorted(all_keys, keys)], np.arange(keys.size))
+        totals = np.zeros((pairs.size, counts.shape[1]), dtype=np.int64)
+        np.add.at(totals, group, counts)
+        position = np.full(pairs.size, live, dtype=np.int64)
+        np.minimum.at(position, group[:live], np.arange(live))
         order = np.argsort(position, kind="stable")
-        pairs, totals, live = pairs[order], totals[order], position[order] < keys.size
+        pairs, totals, shown = pairs[order], totals[order], position[order] < live
         label_pairs = list(zip(names[pairs >> 32].tolist(), names[pairs & _LOW_32].tolist()))
-        result = []
-        for column in totals.T:
-            shown = live | (column != 0)
-            counts_shown = column[shown].tolist()
-            result.append(Counter(dict(zip(compress(label_pairs, shown.tolist()), counts_shown))))
-        return result
+        return label_pairs, totals, shown
+
+    def counter(self, column: int, keep_live_zeros: bool = True) -> Counter:
+        """Replication ``column``'s reference-format counter.
+
+        Every live pair appears, even at zero, unless ``keep_live_zeros``
+        is false; a retired pair only where its count is nonzero.
+        """
+        if self._table is None:
+            self._table = self._build()
+        label_pairs, totals, live = self._table
+        counts = totals[:, column]
+        shown = (live | (counts != 0)) if keep_live_zeros else counts != 0
+        return Counter(dict(zip(compress(label_pairs, shown.tolist()), counts[shown].tolist())))
 
 
 def drop_pending(due: dict[int, list[tuple]], removed_keys: np.ndarray, bound: int) -> None:
@@ -377,7 +477,7 @@ def resync_diff(
     do not describe (``events_only`` false), every pair ``old`` has and
     ``new`` lacks.
     """
-    if new.labels[: old.num_nodes] != old.labels:
+    if new.labels is not old.labels and new.labels[: old.num_nodes] != old.labels:
         from ..graphs.weighted_graph import GraphError
 
         raise GraphError(
@@ -388,7 +488,7 @@ def resync_diff(
     removed: set[tuple[int, int]] = set()
     for key in severed:
         u, v = tuple(key)
-        iu, iv = old.index.get(u), old.index.get(v)
+        iu, iv = old.lookup(u), old.lookup(v)
         if iu is not None and iv is not None:
             removed.add((iu, iv))
             removed.add((iv, iu))
@@ -482,10 +582,19 @@ def apply_events(
     the edge — so engines can cancel in-flight exchanges per the module
     contract rather than diffing only the round's net topology change.
     Fault events accumulate into ``faults`` (see :class:`FaultState`).
+
+    The events run inside ``graph.event_round()``, in the order given.  A
+    dict-built graph takes each one on its dicts.  A
+    :class:`~repro.graphs.indexed.CSRGraph` edits only the rows the events
+    touch and lays the round out as a new snapshot, slot for slot the one
+    the dict path would build, which also records where each old slot went
+    (:meth:`~repro.graphs.indexed.IndexedGraph.slots_from`): the CSR
+    engines carry activation counts across the resync with it.
     """
     severed: set = set()
-    for event in events:
-        apply_event(graph, event, severed, faults)
+    with graph.event_round() as target:
+        for event in events:
+            apply_event(target, event, severed, faults)
     return severed
 
 

@@ -235,18 +235,16 @@ class EdgeEngine(BatchEngine):
         )
 
     def _complete(self) -> SimulationMetrics:
-        """Stamp the completion time and materialize the activation counter.
+        """Stamp the completion time and defer the activation counter.
 
-        The counter is rebuilt from the kernel's ledger and live counts each
-        time, so a repeated call (a multi-phase run reusing the engine)
-        stays exact; it lists only edges that were activated.
+        The counter is built, when first read, from the arrays of the
+        kernel's ledger and live counts as they stand now, so a repeated
+        call (a multi-phase run reusing the engine) stays exact; it lists
+        only edges that were activated.
         """
         metrics = self.metrics
         metrics.completion_time = self.round + metrics.charged_time
-        if self._track_activations:
-            counter = metrics.edge_activations
-            counter.clear()
-            counter.update(
-                {pair: count for pair, count in self._edge_activation_counters()[0].items() if count}
-            )
+        if self._ledger is not None:
+            record = self._ledger.record(self._idx.labels)
+            metrics.defer_edge_activations(record, 0, keep_live_zeros=False)
         return metrics

@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from ..graphs.weighted_graph import GraphError, NodeId, WeightedGraph
 from .dynamics import ScheduleDynamics, TopologyEvent
 from .rng import derive_seed, make_rng
@@ -162,12 +164,26 @@ def random_edge_drop_plan(
 
     Seeded through :func:`~repro.simulation.rng.derive_seed` over the
     graph's canonical edge list, for the same cross-process stability as
-    :func:`random_crash_plan`.
+    :func:`random_crash_plan`.  Only positions in that list are drawn:
+    edge ``e`` of :meth:`~repro.graphs.weighted_graph.WeightedGraph.edges`
+    is the ``e``-th slot of the snapshot whose neighbour index exceeds its
+    node's (the first of the edge's two slots in CSR order), so just the
+    drawn edges are looked up, and the plan is the one sampling the edge
+    list itself would draw.
     """
     if not 0.0 <= drop_fraction <= 1.0:
         raise GraphError("drop_fraction must be in [0, 1]")
     rng = make_rng(derive_seed(seed, "edge-drop-plan"))
-    edges = graph.edge_list()
-    count = int(round(drop_fraction * len(edges)))
-    dropped = rng.sample(edges, min(count, len(edges))) if count else []
-    return FaultPlan(edge_drops={frozenset((edge.u, edge.v)): drop_round for edge in dropped})
+    snapshot = graph.indexed()
+    edges = snapshot.num_edges
+    count = int(round(drop_fraction * edges))
+    drawn = rng.sample(range(edges), min(count, edges)) if count else []
+    first = np.flatnonzero(snapshot.slot_sources() < snapshot.indices)[drawn]
+    sources = np.searchsorted(snapshot.indptr, first, side="right") - 1
+    labels = snapshot.labels
+    return FaultPlan(
+        edge_drops={
+            frozenset((labels[u], labels[v])): drop_round
+            for u, v in zip(sources.tolist(), snapshot.indices[first].tolist())
+        }
+    )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 from ..graphs.weighted_graph import NodeId
 
@@ -38,7 +38,9 @@ class SimulationMetrics:
     messages:
         Total messages sent (2 per completed exchange: request + response).
     edge_activations:
-        Activation count per canonical edge.
+        Activation count per canonical edge.  The CSR engines hand it over
+        as arrays (:meth:`defer_edge_activations`) and the counter is built
+        the first time it is read; it is then an ordinary ``Counter``.
     rumor_deliveries:
         Number of (node, rumor) pairs that became newly known.
     lost_exchanges:
@@ -67,6 +69,29 @@ class SimulationMetrics:
     max_payload_size: int = 0
     lost_exchanges: int = 0
     suppressed_exchanges: int = 0
+
+    def defer_edge_activations(self, source: Any, column: int, keep_live_zeros: bool = True) -> None:
+        """Build :attr:`edge_activations` from ``source`` when it is first read.
+
+        ``source`` is an :class:`~repro.simulation.dynamics.EdgeActivations`
+        (plain arrays) and ``column`` this run's replication in it.  Until
+        the first read the counter does not exist: the attribute is looked
+        up through :meth:`__getattr__`, which builds and keeps it.
+        """
+        self.__dict__.pop("edge_activations", None)
+        self.__dict__["_edge_activation_source"] = (source, column, keep_live_zeros)
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for attributes not set on the instance: a deferred
+        # ``edge_activations`` is built here, once.
+        pending = self.__dict__.get("_edge_activation_source")
+        if name != "edge_activations" or pending is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        source, column, keep_live_zeros = pending
+        counter = source.counter(column, keep_live_zeros)
+        del self.__dict__["_edge_activation_source"]
+        self.__dict__["edge_activations"] = counter
+        return counter
 
     def record_activation(self, u: NodeId, v: NodeId) -> None:
         """Record that the edge {u, v} was activated (an exchange initiated)."""

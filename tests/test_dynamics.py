@@ -441,6 +441,30 @@ class TestMidRunMutation:
             engine.step(spec)
 
     @pytest.mark.parametrize("backend", ["reference", "fast", "edge"])
+    def test_removal_between_event_rounds_on_a_csr_graph(self, backend):
+        """A direct cut of a CSRGraph between event rounds resyncs like a dict graph's."""
+        from repro.graphs import CSRGraph
+
+        runs = []
+        for graph in (path_graph(4), CSRGraph.from_weighted(path_graph(4))):
+            rejoin = TopologyEvent("node-join", 0, edges=((1, 1), (3, 2)))
+            schedule = ScheduleDynamics({2: [TopologyEvent("node-leave", 0)], 4: [rejoin]})
+            engine, _ = create_engine(
+                graph, backend, capability=PolicyCapability.UNIFORM_RANDOM, dynamics=schedule
+            )
+            rumor = engine.seed_rumor(1)
+            spec = RoundPolicySpec(select="round-robin")
+            engine.step(spec)
+            graph.remove_edge(2, 3)  # direct: between the two event rounds
+            counts = []
+            for _ in range(10):
+                engine.step(spec)
+                counts.append(len(engine.informed_nodes(rumor)))
+            runs.append((counts, engine.metrics.as_dict()))
+        assert runs[0] == runs[1]
+        assert runs[0][0][-1] == 4  # node 3 comes back through the rejoined node 0
+
+    @pytest.mark.parametrize("backend", ["reference", "fast", "edge"])
     def test_appended_node_between_steps_is_adopted(self, backend):
         graph = path_graph(3)
         engine, _ = create_engine(graph, backend, capability=PolicyCapability.UNIFORM_RANDOM)

@@ -12,6 +12,10 @@ activation counters included.  A ``RuntimeError`` on both sides is parity
 (a fault can cut a survivor off, and then neither side completes); a
 one-sided stall fails.
 
+The kernel side runs on the drawn representation: the dict graph itself,
+or ``CSRGraph.from_weighted`` of it, whose event rounds edit its arrays;
+the fast loop always runs on the dict graph.
+
 Faults that fire after round 1 catch exchanges in flight, which is the
 case the pinned examples keep in every run.  A second test reuses one
 engine for two runs, blocking or not, with and without draining the
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.graphs import weighted_erdos_renyi
+from repro.graphs import CSRGraph, weighted_erdos_renyi
 from repro.graphs.dynamics import markov_churn
 from repro.simulation import (
     BatchEngine,
@@ -48,7 +52,7 @@ MAX_ROUNDS = 400
 
 @dataclass(frozen=True)
 class Case:
-    """One drawn run: graph, task, gate, blocking, faults and churn."""
+    """One drawn run: graph, task, gate, blocking, faults, churn and representation."""
 
     n: int
     p: float
@@ -63,6 +67,7 @@ class Case:
     churn: bool
     seed: int
     forget_after: int = 4
+    csr: bool = False
 
 
 @st.composite
@@ -83,6 +88,7 @@ def cases(draw) -> Case:
         churn=draw(st.booleans()),
         seed=draw(st.integers(0, 2**31 - 1)),
         forget_after=draw(st.integers(2, 8)),
+        csr=draw(st.booleans()),
     )
 
 
@@ -123,9 +129,16 @@ def seed_task(engine, case: Case, source):
     return lambda e: e.dissemination_complete(rumor)
 
 
+def kernel_graph(graph, case: Case):
+    """The kernel side's representation of the case's dict graph."""
+    return CSRGraph.from_weighted(graph) if case.csr else graph
+
+
 def single_run(engine_cls, case: Case, rep: int):
     """One run on a single-run engine, as a comparable outcome."""
     graph, source, dynamics = build(case)
+    if engine_cls is not FastEngine:
+        graph = kernel_graph(graph, case)
     engine = engine_cls(graph, blocking=case.blocking, dynamics=dynamics)
     stop = seed_task(engine, case, source)
     spec = RoundPolicySpec(
@@ -144,7 +157,9 @@ def single_run(engine_cls, case: Case, rep: int):
 def batch_run(case: Case, reps: int):
     """The case on the kernel at ``reps`` replications, one outcome per column."""
     graph, source, dynamics = build(case)
-    engine = BatchEngine(graph, reps=reps, blocking=case.blocking, dynamics=dynamics)
+    engine = BatchEngine(
+        kernel_graph(graph, case), reps=reps, blocking=case.blocking, dynamics=dynamics
+    )
     if case.all_to_all:
         engine.seed_all_rumors()
         stop = lambda e: e.all_to_all_complete_mask()
@@ -173,6 +188,8 @@ def batch_run(case: Case, reps: int):
 @example(Case(60, 0.15, 3, False, "sir", False, 0.15, 3, 0.0, 1, False, 11, forget_after=5))
 # Blocking under churn, with crashes and drops firing mid-run.
 @example(Case(48, 0.15, 5, False, "all", True, 0.05, 2, 0.03, 4, True, 7))
+# The same on a CSRGraph, whose event rounds edit its arrays.
+@example(Case(48, 0.15, 5, False, "all", True, 0.05, 2, 0.03, 4, True, 7, csr=True))
 # Two knowledge words, with edges dropped in round 2.
 @example(Case(80, 0.15, 2, True, "all", False, 0.0, 1, 0.1, 2, False, 3))
 def test_kernel_matches_fast_loop(case):

@@ -7,18 +7,21 @@ in-flight exchanges over removed edges are cut out and counted as lost;
 a fault naming a node the snapshot does not index yet waits for the
 resync.  These tests pin all three against the scalar numpy-mode fast
 engine or a run's outcome, and check that a finished engine is freed by
-reference counting alone (its fault mirror holds it weakly).
+reference counting alone (its fault mirror holds it weakly).  The kernel
+runs on the dict graph and on a ``CSRGraph`` of it, whose event rounds
+edit its arrays and carry counts by the slot map they record.
 """
 
 from __future__ import annotations
 
 import gc
+import pickle
 import weakref
 
 import numpy as np
 import pytest
 
-from repro.graphs import WeightedGraph
+from repro.graphs import CSRGraph, WeightedGraph
 from repro.simulation import (
     BatchEngine,
     BatchPolicySpec,
@@ -84,8 +87,13 @@ def stress_schedule() -> ScheduleDynamics:
     )
 
 
-def run_single(engine_cls, rep: int):
-    engine = engine_cls(mixed_label_graph(), dynamics=stress_schedule())
+def kernel_graph(csr: bool) -> WeightedGraph:
+    graph = mixed_label_graph()
+    return CSRGraph.from_weighted(graph) if csr else graph
+
+
+def run_single(engine_cls, rep: int, csr: bool = False):
+    engine = engine_cls(kernel_graph(csr), dynamics=stress_schedule())
     engine.seed_rumor(LABELS[0])
     policy = RoundPolicySpec(
         select="uniform-random", gate="all", rng=make_numpy_rng(SEED, "rep", rep)
@@ -93,8 +101,8 @@ def run_single(engine_cls, rep: int):
     return engine.run(policy, lambda e: e.round >= STOP_ROUND)
 
 
-def run_batched():
-    engine = BatchEngine(mixed_label_graph(), reps=REPS, dynamics=stress_schedule())
+def run_batched(csr: bool = False):
+    engine = BatchEngine(kernel_graph(csr), reps=REPS, dynamics=stress_schedule())
     engine.seed_rumor(LABELS[0])
     policy = BatchPolicySpec(
         select="uniform-random", gate="all", rngs=tuple(replication_rngs(SEED, REPS))
@@ -102,11 +110,12 @@ def run_batched():
     return engine.run_batch(policy, lambda e: np.full(REPS, e.round >= STOP_ROUND))
 
 
-def test_resynced_activation_ledger_matches_the_scalar_oracle():
-    batched = run_batched()
+@pytest.mark.parametrize("csr", [False, True], ids=["dict", "csr"])
+def test_resynced_activation_ledger_matches_the_scalar_oracle(csr):
+    batched = run_batched(csr)
     oracles = [run_single(FastEngine, rep) for rep in range(REPS)]
     for rep, oracle in enumerate(oracles):
-        edge = run_single(EdgeEngine, rep)
+        edge = run_single(EdgeEngine, rep, csr)
         for metrics in (batched[rep], edge):
             assert metrics.edge_activations == oracle.edge_activations
             assert metrics.lost_exchanges == oracle.lost_exchanges
@@ -118,6 +127,29 @@ def test_resynced_activation_ledger_matches_the_scalar_oracle():
     flapped = tuple(sorted((repr(LABELS[0]), repr(LABELS[1]))))
     assert all(oracle.edge_activations[flapped] > 0 for oracle in oracles)
     assert any(repr(JOINER) in pair for pair in oracles[0].edge_activations)
+
+
+def test_counters_built_on_first_read_behave_as_counters():
+    from collections import Counter
+
+    from repro.simulation import SimulationMetrics
+    from repro.store import _decode_metrics, _encode_metrics
+
+    batched = run_batched(csr=True)
+    oracles = [run_single(FastEngine, rep) for rep in range(REPS)]
+    for metrics, oracle in zip(batched, oracles):
+        assert "edge_activations" not in vars(metrics)  # deferred until read
+        clone = pickle.loads(pickle.dumps(metrics))  # a pending result pickles
+        assert clone == metrics
+        assert type(metrics.edge_activations) is Counter
+        assert "_edge_activation_source" not in vars(metrics)
+        assert metrics.edge_activations == oracle.edge_activations
+        assert _decode_metrics(_encode_metrics(metrics)) == metrics
+        merged = SimulationMetrics()
+        merged.merge(metrics)
+        assert merged.edge_activations == metrics.edge_activations
+        top = metrics.most_activated_edges(3)
+        assert top == Counter(metrics.edge_activations).most_common(3)
 
 
 def run_to_completion(engine, backend: str, max_rounds: int):
